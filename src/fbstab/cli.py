@@ -6,9 +6,7 @@ operator on a signal), and `profile` (grid profiles behind the certificates,
 as CSV).
 
 Output is deterministic: floats are printed with 17 significant digits and
-booleans as 0/1 in CSV, so identical invocations are byte-identical.  All
-computation is serial; the FBSTAB_THREADS environment variable, meant to cap
-parallelism, is therefore honored trivially.
+booleans as 0/1 in CSV, so identical invocations are byte-identical.
 
 Exit codes: 0 all requested certificates pass, 2 a certificate failed,
 1 usage or input error.

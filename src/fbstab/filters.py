@@ -29,11 +29,6 @@ class FactorizationError(FilterError):
     """The cosine-factor multiplicity could not be decided reliably."""
 
 
-def lowpass_defect(h: FiniteSeq) -> float:
-    """Max of |h^(0) - sqrt(2)| and |h^(1/2)|."""
-    return max(abs(dtft_at(h, 0.0) - SQRT2), abs(dtft_at(h, 0.5)))
-
-
 def check_lowpass(h: FiniteSeq, tol: float = LP_TOL) -> None:
     v0 = dtft_at(h, 0.0)
     if abs(v0 - SQRT2) >= tol:

@@ -5,7 +5,9 @@ transfer operator with its contraction diagnostics.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -80,6 +82,19 @@ def iterate_filters(pair: FilterPair, j: int, j_max: int = J_MAX_DEFAULT) -> Ite
     return IteratedFilters(j, h_list, g_list)
 
 
+def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteSeq]]:
+    """Yield (channel, low) for levels 1, 2, ... of the two-channel cascade:
+    channel = D(low * involute(g)) and the next low = D(low * involute(h)).
+    The generator is unbounded; callers stop it."""
+    hb = involute(pair.h)
+    gb = involute(pair.g)
+    low = x
+    while True:
+        channel = downsample(convolve(low, gb), 1)
+        low = downsample(convolve(low, hb), 1)
+        yield channel, low
+
+
 def analyze(pair: FilterPair, x: FiniteSeq, j: int, j_max: int = J_MAX_DEFAULT) -> AnalysisOutput:
     """Order-j analysis: channels[l] = D^l(x * involute(g_l)) plus the
     residual D^j(x * involute(h_j)).
@@ -89,42 +104,23 @@ def analyze(pair: FilterPair, x: FiniteSeq, j: int, j_max: int = J_MAX_DEFAULT) 
     noble identity.
     """
     _check_order(j, j_max)
-    hb = involute(pair.h)
-    gb = involute(pair.g)
-    channels = []
-    low = x
-    for _ in range(j):
-        channels.append(downsample(convolve(low, gb), 1))
-        low = downsample(convolve(low, hb), 1)
-    return AnalysisOutput(j, channels, low)
+    levels = list(islice(cascade(pair, x), j))
+    return AnalysisOutput(j, [c for c, _ in levels], levels[-1][1])
 
 
 def energy_profile(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
-    """Per-channel energies [||(Fx)_1||^2, ..., ||(Fx)_j_max||^2, residual]."""
+    """Per-channel energies [||(Fx)_1||^2, ..., ||(Fx)_j_max||^2, residual]
+    of the first j_max cascade levels."""
     if j_max < 1:
         raise ValueError(f"iteration order must be >= 1, got {j_max}")
-    hb = involute(pair.h)
-    gb = involute(pair.g)
-    out = []
-    low = x
-    for _ in range(j_max):
-        out.append(norm_sq(downsample(convolve(low, gb), 1)))
-        low = downsample(convolve(low, hb), 1)
-    out.append(norm_sq(low))
-    return out
+    levels = list(islice(cascade(pair, x), j_max))
+    return [norm_sq(c) for c, _ in levels] + [norm_sq(levels[-1][1])]
 
 
 def lowpass_residual_norms(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
-    """Norms ||(F_j x)_(j+1)|| for j = 1..j_max via repeated application of
-    the transfer step y -> D(y * involute(h)).  Supports stay bounded, so
-    large j is cheap."""
-    hb = involute(pair.h)
-    norms = []
-    low = x
-    for _ in range(j_max):
-        low = downsample(convolve(low, hb), 1)
-        norms.append(math.sqrt(norm_sq(low)))
-    return norms
+    """Norms ||(F_j x)_(j+1)|| of the cascade's low-pass residual for
+    j = 1..j_max.  Supports stay bounded, so large j is cheap."""
+    return [math.sqrt(norm_sq(low)) for _, low in islice(cascade(pair, x), j_max)]
 
 
 @dataclass(frozen=True)
@@ -151,50 +147,16 @@ def transfer_matrix(h: FiniteSeq, L: int) -> TransferMatrix:
         raise FilterError(
             f"filter support [{lo}, {hi}] exceeds [-{L}, {L}]")
     ks = np.arange(-L, L + 1)
+    idx = 2 * ks[:, None] - ks[None, :] - h.offset
+    inside = (idx >= 0) & (idx < len(h.coeffs))
     entries = np.zeros((2 * L + 1, 2 * L + 1), dtype=complex)
-    for i, k in enumerate(ks):
-        for m_idx, m in enumerate(ks):
-            entries[i, m_idx] = h.at(2 * k - m)
+    entries[inside] = h.coeffs[idx[inside]]
     return TransferMatrix(L, entries)
 
 
-def spectral_radius(mat: np.ndarray, tol: float = 1e-12, max_iter: int = 500,
-                    restarts: int = 3, seed: int = 1) -> float:
-    """Spectral radius of a small dense matrix.
-
-    Power iteration on the matrix and its conjugate transpose, taking the
-    largest modulus found; a stagnating or oscillating iteration (complex
-    dominant pair) restarts from a fresh random vector and finally falls
-    back to a dense eigenvalue solve.
-    """
-    rng = np.random.default_rng(seed)
-    n = mat.shape[0]
-    scale = max(1.0, float(np.linalg.norm(mat, ord="fro")))
-    best = None
-    for a in (mat, mat.conj().T):
-        accepted = None
-        for _ in range(restarts):
-            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            for _ in range(max_iter):
-                w = a @ v
-                nw = np.linalg.norm(w)
-                if nw == 0.0:
-                    accepted = 0.0
-                    break
-                mu = np.vdot(v, w)
-                # accept only a genuine eigenpair, not a stagnating iterate
-                if np.linalg.norm(w - mu * v) <= tol * scale:
-                    accepted = abs(mu)
-                    break
-                v = w / nw
-            if accepted is not None:
-                break
-        if accepted is not None:
-            best = accepted if best is None else max(best, accepted)
-    if best is None:
-        best = float(np.max(np.abs(np.linalg.eigvals(mat))))
-    return best
+def spectral_radius(mat: np.ndarray) -> float:
+    """Spectral radius of a small dense matrix, from its eigenvalues."""
+    return float(np.max(np.abs(np.linalg.eigvals(mat))))
 
 
 @dataclass(frozen=True)

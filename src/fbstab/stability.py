@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from .filters import FactoredLowpass, FilterPair
-from .iterate import iterate_filters, lowpass_residual_norms
+from .iterate import cascade, iterate_filters, lowpass_residual_norms
 from .seqcore import (
     FiniteSeq,
     Grid,
@@ -374,8 +375,6 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     emp_hi = 0.0
     flagged = False
     violations = []
-    from .iterate import energy_profile  # local import avoids cycle at module load
-
     if a_star > 0.0:
         q_lo = min(a_star, a_star / b_star) - tol
         q_hi = max(b_star, b_star / a_star) + tol
@@ -384,17 +383,18 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     for i in range(n_signals):
         coeffs = rng.standard_normal(8)
         x = FiniteSeq(0, coeffs / np.linalg.norm(coeffs))
-        profile = None
-        for depth in range(1, 17):
-            profile = energy_profile(pair, x, depth)
-            if profile[-1] < 1e-8:
+        energies = []
+        for channel, low in islice(cascade(pair, x), 16):
+            energies.append(norm_sq(channel))
+            residual = norm_sq(low)
+            if residual < 1e-8:
                 break
         else:
             flagged = True
-        quotient = sum(profile[:-1]) / norm_sq(x)
+        quotient = sum(energies) / norm_sq(x)
         # truncation can only lose channel energy, so the final residual is
         # credited back on the lower side of the containment test
-        trunc_err = profile[-1] / norm_sq(x)
+        trunc_err = residual / norm_sq(x)
         if not (q_lo <= quotient + trunc_err and quotient <= q_hi):
             violations.append(
                 f"signal {i}: quotient {quotient:.6g} outside the transferred "
@@ -482,20 +482,6 @@ class SineProductReport:
     ok: bool
 
 
-def sine_product_check(j: int, grid: Grid, tol: float = 1e-12) -> SineProductReport:
-    """Check |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| <= min(1, 1/(2^(j+1)|xi|))
-    at every grid point of [-1/2, 1/2]."""
-    xi = grid.centered_points
-    prod = np.ones_like(xi, dtype=complex)
-    for k in range(j):
-        prod *= (1.0 + np.exp(2j * np.pi * (1 << k) * xi)) / 2.0
-    mod = np.abs(prod)
-    with np.errstate(divide="ignore"):
-        bound = np.minimum(1.0, 1.0 / (2.0 ** (j + 1) * np.abs(xi)))
-    excess = float(np.max(mod - bound))
-    return SineProductReport(j=j, max_excess=excess, ok=excess <= tol)
-
-
 def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profile data (xi, product modulus, bound) behind sine_product_check."""
     xi = grid.centered_points
@@ -505,3 +491,11 @@ def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.
     with np.errstate(divide="ignore"):
         bound = np.minimum(1.0, 1.0 / (2.0 ** (j + 1) * np.abs(xi)))
     return xi, np.abs(prod), bound
+
+
+def sine_product_check(j: int, grid: Grid, tol: float = 1e-12) -> SineProductReport:
+    """Check |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| <= min(1, 1/(2^(j+1)|xi|))
+    at every grid point of [-1/2, 1/2]."""
+    _, mod, bound = sine_product_values(j, grid)
+    excess = float(np.max(mod - bound))
+    return SineProductReport(j=j, max_excess=excess, ok=excess <= tol)

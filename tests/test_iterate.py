@@ -2,13 +2,22 @@
 low-pass transfer operator."""
 
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from fbstab.filters import FilterError, FilterPair, burt_adelson, orthogonal_highpass
+from fbstab.filters import (
+    FilterError,
+    FilterPair,
+    assemble,
+    burt_adelson,
+    higher_order,
+    orthogonal_highpass,
+)
 from fbstab.iterate import (
     analyze,
+    cascade,
     contraction_certificate,
     energy_profile,
     iterate_filters,
@@ -83,6 +92,21 @@ def test_analysis_channels_are_inner_products():
         assert abs(out.lowpass_residual.at(k) - ref) < 1e-12
 
 
+def test_cascade_matches_analyze_exactly():
+    # a local generator keeps the module RNG stream of later tests unchanged
+    x = seq(-3, np.random.default_rng(3).standard_normal(12))
+
+    def same(a, b):
+        return a.offset == b.offset and np.array_equal(a.coeffs, b.coeffs)
+
+    for pair in (haar_pair(), ba_pair(0.7)):
+        levels = list(islice(cascade(pair, x), 6))
+        for j in range(1, 7):
+            out = analyze(pair, x, j)
+            assert all(same(c, levels[l][0]) for l, c in enumerate(out.channels))
+            assert same(out.lowpass_residual, levels[j - 1][1])
+
+
 def test_haar_energy_parseval():
     pair = haar_pair()
     for j in range(1, 7):
@@ -145,6 +169,18 @@ def test_spectral_radius_simple_cases():
     assert spectral_radius(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(0.0, abs=1e-9)
     rot = np.array([[0.0, -0.5], [0.5, 0.0]])  # complex pair, modulus 0.5
     assert spectral_radius(rot) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("h", [assemble(higher_order(0.7246)),
+                               assemble(higher_order(1.085)),
+                               burt_adelson(0.669)],
+                         ids=["ho-0.7246", "ho-1.085", "ba-0.669"])
+def test_contraction_spectral_radius_is_exact(h):
+    # 1/sqrt(2) is the transfer operator's eigenvalue for the constant left
+    # eigenvector; an iterative estimate misses it by up to 1e-11 here
+    lo, hi = h.support
+    cert = contraction_certificate(h, max(abs(lo), abs(hi)))
+    assert cert.spectral_radius == pytest.approx(INV_SQRT2, rel=1e-13)
 
 
 def test_contraction_certificate_haar():

@@ -15,7 +15,7 @@ from fbstab.filters import (
     assemble,
     orthogonal_highpass,
 )
-from fbstab.seqcore import Grid, delta, seq, zero_seq
+from fbstab.seqcore import FiniteSeq, Grid, delta, norm_sq, seq, zero_seq
 from fbstab.stability import (
     GridTooCoarseError,
     bessel_certificate,
@@ -31,7 +31,7 @@ from fbstab.stability import (
     span_certificate,
     std_expand_profile,
 )
-from fbstab.iterate import energy_profile
+from fbstab.iterate import energy_profile, lowpass_residual_norms
 
 RNG = np.random.default_rng(5)
 
@@ -284,6 +284,71 @@ def test_bound_transfer_flags_degenerate_pair():
                                n_signals=8, seed=0)
     assert not rep.ok
     assert any("not stable" in v for v in rep.violations)
+
+
+def _bound_transfer_oracle(pair, j_max, grid, n_signals, seed, tol=1e-6):
+    """bound_transfer_check rebuilt on the depth-restart loop: every depth
+    from 1 re-runs energy_profile until the residual energy drops below
+    1e-8.  Returns the report's JSON form and each signal's stop depth."""
+    reports = [gramian_bounds(pair, j, grid) for j in range(1, j_max + 1)]
+    a_star = min(r.lower for r in reports)
+    b_star = max(r.upper for r in reports)
+    q_lo = min(a_star, a_star / b_star) - tol if a_star > 0.0 else -math.inf
+    q_hi = max(b_star, b_star / a_star) + tol if a_star > 0.0 else math.inf
+    rng = np.random.default_rng(seed)
+    quotients, depths, violations = [], [], []
+    flagged = False
+    for i in range(n_signals):
+        coeffs = rng.standard_normal(8)
+        x = FiniteSeq(0, coeffs / np.linalg.norm(coeffs))
+        for depth in range(1, 17):
+            profile = energy_profile(pair, x, depth)
+            if profile[-1] < 1e-8:
+                break
+        else:
+            flagged = True
+        depths.append(depth)
+        quotient = sum(profile[:-1]) / norm_sq(x)
+        if not (q_lo <= quotient + profile[-1] / norm_sq(x) and quotient <= q_hi):
+            violations.append(
+                f"signal {i}: quotient {quotient:.6g} outside the transferred "
+                f"envelope [{q_lo:.6g}, {q_hi:.6g}] (seed {seed})")
+        quotients.append(quotient)
+    emp_lo, emp_hi = min(quotients), max(quotients)
+    if emp_lo <= 0.0:
+        violations.append(
+            f"empirical lower envelope is {emp_lo:.3e}: infinite bank not stable")
+    else:
+        lo_bound = min(emp_lo, emp_lo / emp_hi)
+        violations += [
+            f"order {r.order}: lower bound {r.lower:.6g} below "
+            f"min(A, A/B) = {lo_bound:.6g} (seed {seed})"
+            for r in reports if r.lower < lo_bound - tol]
+    decay = lowpass_residual_norms(pair, FiniteSeq(0, rng.standard_normal(8)), 16)
+    if emp_lo > 0.0 and decay[-1] > max(1e-6, 0.5 * decay[0]):
+        violations.append(
+            f"residual norm not decaying: {decay[-1]:.3e} at depth 16 (seed {seed})")
+    return {
+        "gramian": [r.to_json_obj() for r in reports],
+        "empirical_lower": emp_lo,
+        "empirical_upper": emp_hi,
+        "residual_decay": decay,
+        "truncation_flagged": flagged,
+        "violations": violations,
+    }, depths
+
+
+def test_bound_transfer_matches_depth_restart_oracle():
+    # (haar, 34) stops one signal at depth 4, (ho 1.0, 27) one at depth 15,
+    # and every signal of (ba 0.7, 0) runs to the depth cap
+    grid = Grid(256)
+    depths = []
+    for pair, seed in ((haar_pair(), 34), (ho_pair(1.0), 27), (ba_pair(0.7), 0)):
+        expected, stops = _bound_transfer_oracle(pair, 2, grid, 16, seed)
+        assert bound_transfer_check(pair, 2, grid, n_signals=16,
+                                    seed=seed).to_json_obj() == expected
+        depths += stops
+    assert min(depths) < 16 and max(depths) == 16
 
 
 def test_annulus_equality_branch():
