@@ -8,7 +8,6 @@ from .seqcore import (
     delta,
     downsample,
     dtft_at,
-    dtft_eval,
     inner,
     involute,
     norm_sq,

@@ -129,6 +129,9 @@ def _load_pair(args, h: FiniteSeq) -> FilterPair:
 
 
 def cmd_certify(args) -> int:
+    if args.order < 1 or args.s_max < 1:
+        raise ValueError(
+            f"need --order >= 1 and --s-max >= 1, got {args.order} and {args.s_max}")
     h, f = _load_lowpass(args)
     pair = _load_pair(args, h)
     grid = Grid(args.grid)

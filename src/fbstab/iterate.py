@@ -22,7 +22,7 @@ from .seqcore import (
     zero_seq,
 )
 
-J_MAX_DEFAULT = 20
+J_MAX = 20
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -62,17 +62,17 @@ class AnalysisOutput:
         }
 
 
-def _check_order(j: int, j_max: int) -> None:
+def _check_order(j: int) -> None:
     if j < 1:
         raise ValueError(f"iteration order must be >= 1, got {j}")
-    if j > j_max:
-        raise ValueError(f"iteration order {j} exceeds the cap {j_max}")
+    if j > J_MAX:
+        raise ValueError(f"iteration order {j} exceeds the cap {J_MAX}")
 
 
-def iterate_filters(pair: FilterPair, j: int, j_max: int = J_MAX_DEFAULT) -> IteratedFilters:
+def iterate_filters(pair: FilterPair, j: int) -> IteratedFilters:
     """Build h_l = h * Uh * ... * U^(l-1)h and g_l = h_(l-1) * U^(l-1)g
     for l = 1..j by time-domain convolution."""
-    _check_order(j, j_max)
+    _check_order(j)
     h_list = [pair.h]
     g_list = [pair.g]
     for l in range(2, j + 1):
@@ -95,7 +95,7 @@ def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteS
         yield channel, low
 
 
-def analyze(pair: FilterPair, x: FiniteSeq, j: int, j_max: int = J_MAX_DEFAULT) -> AnalysisOutput:
+def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
     """Order-j analysis: channels[l] = D^l(x * involute(g_l)) plus the
     residual D^j(x * involute(h_j)).
 
@@ -103,7 +103,7 @@ def analyze(pair: FilterPair, x: FiniteSeq, j: int, j_max: int = J_MAX_DEFAULT) 
     level), which agrees with the iterated-filter formulas through the
     noble identity.
     """
-    _check_order(j, j_max)
+    _check_order(j)
     levels = list(islice(cascade(pair, x), j))
     return AnalysisOutput(j, [c for c, _ in levels], levels[-1][1])
 

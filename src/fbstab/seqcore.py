@@ -78,9 +78,12 @@ class FiniteSeq:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FiniteSeq":
-        coeffs = [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                  for c in obj["coeffs"]]
-        return cls(int(obj["offset"]), np.asarray(coeffs, dtype=complex))
+        coeffs = np.asarray(
+            [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
+             for c in obj["coeffs"]], dtype=complex)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("sequence coefficients must be finite (got NaN or Inf)")
+        return cls(int(obj["offset"]), coeffs)
 
 
 def seq(offset: int, coeffs) -> FiniteSeq:
@@ -131,11 +134,6 @@ def dtft_at(x: FiniteSeq, xi) -> np.ndarray:
     if np.isscalar(xi) or np.asarray(xi).ndim == 0:
         return out.reshape(())[()]
     return out
-
-
-def dtft_eval(x: FiniteSeq, grid: Grid) -> np.ndarray:
-    """Evaluate the Fourier transform of x on the grid (length N array)."""
-    return dtft_at(x, grid.points)
 
 
 def convolve(x: FiniteSeq, h: FiniteSeq) -> FiniteSeq:

@@ -227,34 +227,28 @@ def span_certificate(pair: FilterPair, grid: Grid,
 
 
 def gramian_fibers(pair: FilterPair, j: int, xi: np.ndarray) -> np.ndarray:
-    """Batched 2^j x 2^j fiber matrices X(xi) = Y_1(xi) ... Y_j(xi).
+    """Batched 2^j x 2^j fiber matrices X_j(xi), built by the order recursion
+    X_k = Y_k diag(I_K, X_(k-1)) for k = 1..j from X_0 = 1, with K = 2^(k-1).
 
-    Y_l is the identity outside its trailing 2^(j+1-l) coordinates, where it
-    acts by interleaved g/h transform values at the points
-    2^(l-j-1) (xi + q).  The unitary block-Fourier factor relating X to the
-    dense pre-Gramian is omitted; it does not change singular values.
+    With g_k, h_k the transform values of g, h at the 2K points
+    2^-k (xi + q), q < 2K, scaled by 1/sqrt(2), row q of X_k is
+    [g_k(q) e_(q mod K), h_k(q) X_(k-1)[q mod K]].  The unitary
+    block-Fourier factor relating X_j to the dense pre-Gramian is omitted;
+    it does not change singular values.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    dim = 1 << j
-    C = xi.shape[0]
-    # level 1: full interleaving matrix
-    K = dim // 2
-    u = (xi[:, None] + np.arange(dim)[None, :]) * (2.0 ** (-j))
-    g_u = dtft_at(pair.g, u) / SQRT2
-    h_u = dtft_at(pair.h, u) / SQRT2
-    X = np.zeros((C, dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    X[:, rows, rows % K] = g_u
-    X[:, rows, K + rows % K] = h_u
-    for l in range(2, j + 1):
-        K = 1 << (j - l)
-        u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (l - j - 1))
-        g_u = dtft_at(pair.g, u) / SQRT2
-        h_u = dtft_at(pair.h, u) / SQRT2
-        A = X[:, :, dim - 2 * K:].copy()
-        lo, hi = A[:, :, :K], A[:, :, K:]
-        X[:, :, dim - 2 * K:dim - K] = lo * g_u[:, None, :K] + hi * g_u[:, None, K:]
-        X[:, :, dim - K:] = lo * h_u[:, None, :K] + hi * h_u[:, None, K:]
+    X = np.ones((xi.shape[0], 1, 1), dtype=complex)
+    for k in range(1, j + 1):
+        K = 1 << (k - 1)
+        u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (-k))
+        g_k = dtft_at(pair.g, u) / SQRT2
+        h_k = dtft_at(pair.h, u) / SQRT2
+        Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=complex)
+        rows = np.arange(2 * K)
+        Y[:, rows, rows % K] = g_k
+        Y[:, :K, K:] = h_k[:, :K, None] * X
+        Y[:, K:, K:] = h_k[:, K:, None] * X
+        X = Y
     return X
 
 
@@ -300,13 +294,11 @@ class GramianReport:
         }
 
 
-def gramian_bounds(pair: FilterPair, j: int, grid: Grid,
-                   chunk: int | None = None) -> GramianReport:
+def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
     """A_j = min over the grid of sigma_min(X)^2 and B_j = max sigma_max(X)^2."""
     if not 1 <= j <= GRAMIAN_J_CAP:
         raise ValueError(f"gramian order must be in 1..{GRAMIAN_J_CAP}, got {j}")
-    if chunk is None:
-        chunk = max(1, (1 << 22) // (1 << (2 * j)))
+    chunk = (1 << 22) >> (2 * j)
     lower = math.inf
     upper = 0.0
     pts = grid.points

@@ -65,6 +65,19 @@ def test_certify_input_errors(tmp_path, capsys):
     both = ["certify", "--family", "burt-adelson", "--a", "0.7",
             "--filter", str(bad)]
     assert main(both) == 1
+    # non-finite taps: a trailing NaN must not be trimmed away into Haar
+    s = 1 / math.sqrt(2)
+    for name, coeffs in (("trail", [s, s, math.nan]), ("inner", [s, math.nan, s])):
+        path = tmp_path / f"nan_{name}.json"
+        path.write_text(json.dumps({"offset": 0, "coeffs": coeffs}))
+        assert main(["certify", "--filter", str(path), "--grid", "64"]) == 1
+    sig = tmp_path / "nan_signal.json"
+    sig.write_text(json.dumps({"offset": 0, "coeffs": [1.0, math.nan]}))
+    assert main(["apply", "--family", "burt-adelson", "--a", "0.7",
+                 "--signal", str(sig), "--order", "2"]) == 1
+    fam = ["certify", "--family", "burt-adelson", "--a", "0.7", "--grid", "64"]
+    for bad_opt in (["--order", "0"], ["--order", "-3"], ["--s-max", "0"]):
+        assert main(fam + bad_opt) == 1
     capsys.readouterr()
 
 

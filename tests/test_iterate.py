@@ -28,7 +28,6 @@ from fbstab.iterate import (
 from fbstab.seqcore import (
     Grid,
     dtft_at,
-    dtft_eval,
     inner,
     norm_sq,
     seq,
@@ -69,10 +68,10 @@ def test_iterated_filter_product_formula():
     # g_3^(xi) = h^(xi) h^(2 xi) g^(4 xi)
     expected = (dtft_at(pair.h, xi) * dtft_at(pair.h, 2 * xi)
                 * dtft_at(pair.g, 4 * xi))
-    assert np.max(np.abs(dtft_eval(flt.g_list[2], grid) - expected)) < 1e-10
+    assert np.max(np.abs(dtft_at(flt.g_list[2], grid.points) - expected)) < 1e-10
     expected_h = (dtft_at(pair.h, xi) * dtft_at(pair.h, 2 * xi)
                   * dtft_at(pair.h, 4 * xi))
-    assert np.max(np.abs(dtft_eval(flt.h_list[2], grid) - expected_h)) < 1e-10
+    assert np.max(np.abs(dtft_at(flt.h_list[2], grid.points) - expected_h)) < 1e-10
 
 
 def test_analysis_channels_are_inner_products():

@@ -12,7 +12,6 @@ from fbstab.seqcore import (
     delta,
     downsample,
     dtft_at,
-    dtft_eval,
     inner,
     involute,
     norm_sq,
@@ -47,7 +46,7 @@ def test_trimming_and_zero():
 
 
 def test_dtft_delta_is_constant_one():
-    vals = dtft_eval(delta(), Grid(4))
+    vals = dtft_at(delta(), Grid(4).points)
     assert np.allclose(vals, np.ones(4))
 
 
@@ -69,8 +68,8 @@ def test_convolution_theorem():
     grid = Grid(64)
     for _ in range(20):
         x, y = random_seq(), random_seq(5)
-        lhs = dtft_eval(convolve(x, y), grid)
-        rhs = dtft_eval(x, grid) * dtft_eval(y, grid)
+        lhs = dtft_at(convolve(x, y), grid.points)
+        rhs = dtft_at(x, grid.points) * dtft_at(y, grid.points)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -84,8 +83,8 @@ def test_convolve_with_delta():
 def test_involute_transform_is_conjugate():
     grid = Grid(32)
     x = random_seq()
-    lhs = dtft_eval(involute(x), grid)
-    rhs = np.conj(dtft_eval(x, grid))
+    lhs = dtft_at(involute(x), grid.points)
+    rhs = np.conj(dtft_at(x, grid.points))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -125,7 +124,7 @@ def test_grid_parseval():
     grid = Grid(64)
     for _ in range(10):
         x = random_seq(12)
-        vals = dtft_eval(x, grid)
+        vals = dtft_at(x, grid.points)
         assert abs(np.sum(np.abs(vals) ** 2) / grid.size - norm_sq(x)) < 1e-10
 
 

@@ -15,7 +15,7 @@ from fbstab.filters import (
     assemble,
     orthogonal_highpass,
 )
-from fbstab.seqcore import FiniteSeq, Grid, delta, norm_sq, seq, zero_seq
+from fbstab.seqcore import FiniteSeq, Grid, delta, dtft_at, norm_sq, seq, zero_seq
 from fbstab.stability import (
     GridTooCoarseError,
     bessel_certificate,
@@ -226,6 +226,41 @@ def test_gramian_dense_oracle_matches_fibers():
                 X = gramian_fibers(pair, j, np.array([xi]))[0]
                 sv_fact = np.linalg.svd(X, compute_uv=False)
                 assert np.max(np.abs(sv_dense - sv_fact)) < 1e-10
+
+
+def _level_product_fibers(pair, j, xi):
+    """Fibers as the product Y_1 ... Y_j of level factors, each the
+    identity outside its trailing 2^(j+1-l) coordinates: the construction
+    the order recursion replaced, kept as an oracle."""
+    dim = 1 << j
+    K = dim // 2
+    u = (xi[:, None] + np.arange(dim)[None, :]) * (2.0 ** (-j))
+    g_u = dtft_at(pair.g, u) / math.sqrt(2)
+    h_u = dtft_at(pair.h, u) / math.sqrt(2)
+    X = np.zeros((xi.shape[0], dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    X[:, rows, rows % K] = g_u
+    X[:, rows, K + rows % K] = h_u
+    for l in range(2, j + 1):
+        K = 1 << (j - l)
+        u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (l - j - 1))
+        g_u = dtft_at(pair.g, u) / math.sqrt(2)
+        h_u = dtft_at(pair.h, u) / math.sqrt(2)
+        A = X[:, :, dim - 2 * K:].copy()
+        lo, hi = A[:, :, :K], A[:, :, K:]
+        X[:, :, dim - 2 * K:dim - K] = lo * g_u[:, None, :K] + hi * g_u[:, None, K:]
+        X[:, :, dim - K:] = lo * h_u[:, None, :K] + hi * h_u[:, None, K:]
+    return X
+
+
+@pytest.mark.parametrize("pair", [haar_pair(), ba_pair(0.7), ba_pair(0.4871),
+                                  ho_pair(1.085), ho_pair(0.3)],
+                         ids=["haar", "ba-0.7", "ba-0.4871", "ho-1.085", "ho-0.3"])
+def test_gramian_fibers_match_level_product_oracle(pair):
+    xi = np.random.default_rng(11).uniform(0, 1, size=16)
+    for j in range(1, 9):
+        diff = np.abs(gramian_fibers(pair, j, xi) - _level_product_fibers(pair, j, xi))
+        assert float(np.max(diff)) < 1e-13
 
 
 def test_gramian_dense_haar_orthonormal_columns():
