@@ -136,6 +136,18 @@ def dtft_at(x: FiniteSeq, xi) -> np.ndarray:
     return out
 
 
+def dtft_grid(x: FiniteSeq, n: int) -> np.ndarray:
+    """Evaluate x^(m/n) for m = 0..n-1 by one FFT of length n.
+
+    On the grid, e^(-2 pi i k m/n) depends on k only modulo n, so the
+    coefficients are folded onto the residues k mod n first; the result is
+    exact (up to FFT round-off) for any support, wider than n or not.
+    """
+    folded = np.zeros(n, dtype=complex)
+    np.add.at(folded, x.indices % n, x.coeffs)
+    return np.fft.fft(folded)
+
+
 def convolve(x: FiniteSeq, h: FiniteSeq) -> FiniteSeq:
     if x.is_zero or h.is_zero:
         return zero_seq()

@@ -23,6 +23,7 @@ from .seqcore import (
     Grid,
     convolve,
     dtft_at,
+    dtft_grid,
     norm_sq,
     translate,
     upsample,
@@ -101,7 +102,8 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
     The product is a 1-periodic trigonometric polynomial q of degree d, so
     its supremum over the reals equals the supremum over one period, and
     Bernstein's bound ||q'|| <= 2 pi d ||q|| turns a grid maximum over N
-    points into the certified bound grid_max / (1 - pi d / N).
+    points into the certified bound grid_max / (1 - pi d / N).  The grid
+    maximum comes from one length-N FFT of q's coefficients folded modulo N.
     """
     if s < 1:
         raise ValueError(f"product length s must be >= 1, got {s}")
@@ -111,7 +113,7 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
         raise GridTooCoarseError(
             f"grid size {grid.size} cannot certify a degree-{d} polynomial; "
             f"need N > pi*d ~ {math.pi * d:.0f}")
-    grid_max = float(np.max(np.abs(dtft_at(q, grid.points))))
+    grid_max = float(np.max(np.abs(dtft_grid(q, grid.size))))
     sup_value = grid_max / (1.0 - math.pi * d / grid.size)
     threshold = 2.0 ** ((f.n - 0.5) * s)
     epsilon = f.n - math.log2(sup_value) / s if sup_value > 0 else math.inf
@@ -476,6 +478,8 @@ class SineProductReport:
 
 def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profile data (xi, product modulus, bound) behind sine_product_check."""
+    if j < 1:
+        raise ValueError(f"sine product length must be >= 1, got {j}")
     xi = grid.centered_points
     prod = np.ones_like(xi, dtype=complex)
     for k in range(j):

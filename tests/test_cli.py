@@ -221,3 +221,10 @@ def test_profile_sine_product(capsys):
     for line in lines[1:]:
         _, prod, bound = (float(v) for v in line.split(","))
         assert prod <= bound + 1e-12
+
+
+def test_profile_sine_product_rejects_bad_order(capsys):
+    for order in ("-2", "0"):
+        assert main(["profile", "--which", "sine-product",
+                     "--order", order, "--grid", "8"]) == 1
+    assert capsys.readouterr().out == ""

@@ -12,6 +12,7 @@ from fbstab.seqcore import (
     delta,
     downsample,
     dtft_at,
+    dtft_grid,
     inner,
     involute,
     norm_sq,
@@ -126,6 +127,19 @@ def test_grid_parseval():
         x = random_seq(12)
         vals = dtft_at(x, grid.points)
         assert abs(np.sum(np.abs(vals) ** 2) / grid.size - norm_sq(x)) < 1e-10
+
+
+def test_dtft_grid_matches_direct_sum():
+    # offsets -6..6 put negative indices on the residues n - |k|; 50 taps
+    # from index -20 on 16 or 7 points make several taps share a residue
+    cases = [(random_seq(12), n) for n in (16, 64, 17) for _ in range(5)]
+    wide = seq(-20, RNG.standard_normal(50) + 1j * RNG.standard_normal(50))
+    cases += [(wide, 16), (wide, 7), (zero_seq(), 9)]
+    for x, n in cases:
+        got = dtft_grid(x, n)
+        assert got.shape == (n,)
+        err = np.max(np.abs(got - dtft_at(x, Grid(n).points)))
+        assert err <= 1e-12 * np.sum(np.abs(x.coeffs))
 
 
 def test_inner_and_norm():

@@ -2,6 +2,7 @@
 supporting estimate checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fbstab.stability import (
     bessel_certificate,
     bound_transfer_check,
     default_grid_size,
+    dilated_product,
     downsample_annulus_check,
     expand_certificate,
     gramian_bounds,
@@ -30,6 +32,7 @@ from fbstab.stability import (
     sine_product_check,
     span_certificate,
     std_expand_profile,
+    trig_degree,
 )
 from fbstab.iterate import energy_profile, lowpass_residual_norms
 
@@ -120,6 +123,45 @@ def test_bessel_grid_too_coarse():
     f = higher_order(1.0)
     with pytest.raises(GridTooCoarseError):
         bessel_certificate(f, 3, Grid(16))
+
+
+def _bessel_direct_sum(f, s, grid):
+    """(grid_max, degree, verdict) with the grid maximum of the dilated
+    product taken by direct summation at the grid points, 512 points at a
+    time so the phase matrix stays small."""
+    q = dilated_product(f.p, s)
+    d = trig_degree(q)
+    pts = grid.points
+    grid_max = max(float(np.max(np.abs(dtft_at(q, pts[i:i + 512]))))
+                   for i in range(0, grid.size, 512))
+    sup_value = grid_max / (1.0 - math.pi * d / grid.size)
+    return grid_max, d, sup_value < 2.0 ** ((f.n - 0.5) * s)
+
+
+@pytest.mark.parametrize("f", [
+    factor(burt_adelson(0.4871)), factor(burt_adelson(0.7)),
+    higher_order(0.209), higher_order(1.3)],
+    ids=["ba-0.4871", "ba-0.7", "ho-0.209", "ho-1.3"])
+def test_bessel_grid_max_matches_direct_sum(f):
+    grid = Grid(8192)
+    for s in range(1, 11):
+        cert = bessel_certificate(f, s, grid)
+        grid_max, degree, verdict = _bessel_direct_sum(f, s, grid)
+        assert cert.grid_max == pytest.approx(grid_max, rel=1e-13, abs=0.0)
+        assert cert.degree == degree
+        assert cert.verdict == verdict
+
+
+def test_bessel_memory_stays_small_at_s10():
+    f = factor(burt_adelson(0.4871))
+    tracemalloc.start()
+    try:
+        bessel_certificate(f, 10, Grid(8192))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a direct sum over the dense 8192 x 2041 phase matrix peaks at 510 MB here
+    assert peak < 16 * 2 ** 20
 
 
 def test_default_grid_size():
@@ -411,3 +453,9 @@ def test_sine_product_bound():
         rep = sine_product_check(j, GRID)
         assert rep.ok
         assert rep.max_excess <= 1e-12
+
+
+def test_sine_product_rejects_length_below_one():
+    for j in (0, -2):
+        with pytest.raises(ValueError):
+            sine_product_check(j, GRID)
