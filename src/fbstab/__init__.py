@@ -31,12 +31,9 @@ from .filters import (
 from .iterate import (
     AnalysisOutput,
     ContractionCertificate,
-    IteratedFilters,
-    TransferMatrix,
     analyze,
     contraction_certificate,
     energy_profile,
-    iterate_filters,
     lowpass_residual_norms,
     transfer_matrix,
 )
@@ -49,14 +46,10 @@ from .stability import (
     SpanCertificate,
     bessel_certificate,
     bound_transfer_check,
-    default_grid_size,
-    downsample_annulus_check,
     expand_certificate,
     gramian_bounds,
-    gramian_dense,
     gramian_fibers,
     mstar_m_eigenfunctions,
-    sine_product_check,
     sine_product_values,
     span_certificate,
     std_expand_profile,

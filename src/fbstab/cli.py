@@ -32,8 +32,8 @@ from .filters import (
 from .iterate import analyze, contraction_certificate
 from .seqcore import FiniteSeq, Grid, delta
 from .stability import (
-    TOL_EXPAND_DEFAULT,
-    TOL_SPAN_DEFAULT,
+    GRAMIAN_J_CAP,
+    TOL_EXPAND,
     bessel_certificate,
     expand_certificate,
     gramian_bounds,
@@ -129,15 +129,16 @@ def _load_pair(args, h: FiniteSeq) -> FilterPair:
 
 
 def cmd_certify(args) -> int:
-    if args.order < 1 or args.s_max < 1:
+    if not 1 <= args.order <= GRAMIAN_J_CAP or args.s_max < 1:
         raise ValueError(
-            f"need --order >= 1 and --s-max >= 1, got {args.order} and {args.s_max}")
+            f"need 1 <= --order <= {GRAMIAN_J_CAP} and --s-max >= 1, "
+            f"got {args.order} and {args.s_max}")
     h, f = _load_lowpass(args)
     pair = _load_pair(args, h)
     grid = Grid(args.grid)
     bessel = [bessel_certificate(f, s, grid) for s in range(1, args.s_max + 1)]
-    expand = expand_certificate(pair, grid, args.tol_expand)
-    span = span_certificate(pair, grid, args.tol_span)
+    expand = expand_certificate(pair, grid)
+    span = span_certificate(pair, grid)
     lo, hi = h.support
     contraction = contraction_certificate(h, max(abs(lo), abs(hi)))
     gramian = [gramian_bounds(pair, j, grid) for j in range(1, args.order + 1)]
@@ -177,7 +178,7 @@ def cmd_sweep(args) -> int:
         b1 = bessel_certificate(f, 1, grid).verdict
         b2 = bessel_certificate(f, 2, grid).verdict
         expand_min = float(np.min(std_expand_profile(h, grid)))
-        expand_ok = expand_min >= 2.0 - args.tol_expand
+        expand_ok = expand_min >= 2.0 - TOL_EXPAND
         g4 = gramian_bounds(pair, 4, grid)
         row = (float(a), b1, b2, expand_min, expand_ok, g4.lower, g4.upper)
         lines.append(",".join(_fmt(v) for v in row))
@@ -240,11 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run all stability certificates")
     _add_source_args(p)
     p.add_argument("--order", type=int, default=4,
-                   help="max Gramian iteration order (default 4)")
+                   help=f"max Gramian iteration order, 1..{GRAMIAN_J_CAP} (default 4)")
     p.add_argument("--s-max", type=int, default=3,
                    help="max Bessel product length (default 3)")
-    p.add_argument("--tol-expand", type=float, default=TOL_EXPAND_DEFAULT)
-    p.add_argument("--tol-span", type=float, default=TOL_SPAN_DEFAULT)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="family parameter sweep to CSV")
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a-max", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--grid", type=int, default=8192)
-    p.add_argument("--tol-expand", type=float, default=TOL_EXPAND_DEFAULT)
     p.add_argument("--out", help="output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
 

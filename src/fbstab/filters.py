@@ -19,6 +19,9 @@ from .seqcore import (
 SQRT2 = math.sqrt(2.0)
 
 LP_TOL = 1e-9
+# a residual at z = -1 in [LP_TOL, FACTOR_BORDERLINE) (relative to the
+# coefficient scale) is too large to be round-off and too small to trust
+FACTOR_BORDERLINE = 1e-6
 
 
 class FilterError(ValueError):
@@ -29,20 +32,20 @@ class FactorizationError(FilterError):
     """The cosine-factor multiplicity could not be decided reliably."""
 
 
-def check_lowpass(h: FiniteSeq, tol: float = LP_TOL) -> None:
+def check_lowpass(h: FiniteSeq) -> None:
     v0 = dtft_at(h, 0.0)
-    if abs(v0 - SQRT2) >= tol:
+    if abs(v0 - SQRT2) >= LP_TOL:
         raise FilterError(
             f"low-pass axiom violated: transform at 0 is {v0}, expected sqrt(2)")
     vh = dtft_at(h, 0.5)
-    if abs(vh) >= tol:
+    if abs(vh) >= LP_TOL:
         raise FilterError(
             f"low-pass axiom violated: transform at 1/2 is {vh}, expected 0")
 
 
-def check_highpass(g: FiniteSeq, tol: float = LP_TOL) -> None:
+def check_highpass(g: FiniteSeq) -> None:
     v0 = dtft_at(g, 0.0)
-    if abs(v0) >= tol:
+    if abs(v0) >= LP_TOL:
         raise FilterError(
             f"high-pass axiom violated: transform at 0 is {v0}, expected 0")
 
@@ -147,13 +150,13 @@ def _value_at_half(offset: int, coeffs: np.ndarray) -> complex:
     return complex(np.sum(signs * coeffs))
 
 
-def factor(h: FiniteSeq, tol: float = LP_TOL, borderline: float = 1e-6) -> FactoredLowpass:
+def factor(h: FiniteSeq) -> FactoredLowpass:
     """Extract the cosine-factor multiplicity n and the polynomial p.
 
     Divides the Laurent polynomial of h repeatedly by (1 + z)/2 while the
-    value at z = -1 stays below `tol` (relative to the coefficient scale).
-    A remainder in the gray zone [tol, borderline) aborts rather than
-    guessing, since a misdetected n silently corrupts every certificate
+    value at z = -1 stays below LP_TOL (relative to the coefficient scale).
+    A remainder in the gray zone [LP_TOL, FACTOR_BORDERLINE) aborts rather
+    than guessing, since a misdetected n silently corrupts every certificate
     built on it.  The returned p is re-centered on a symmetric support.
     """
     check_lowpass(h)
@@ -163,13 +166,13 @@ def factor(h: FiniteSeq, tol: float = LP_TOL, borderline: float = 1e-6) -> Facto
     while len(coeffs) > 1:
         scale = max(1.0, float(np.max(np.abs(coeffs))))
         rem = abs(_value_at_half(offset, coeffs))
-        if rem >= borderline * scale:
+        if rem >= FACTOR_BORDERLINE * scale:
             break
-        if rem >= tol * scale:
+        if rem >= LP_TOL * scale:
             raise FactorizationError(
                 f"cosine-factor multiplicity ambiguous after n={n}: residual at "
-                f"z=-1 is {rem:.3e} (tol {tol:.0e}, borderline {borderline:.0e}); "
-                f"refine the filter coefficients")
+                f"z=-1 is {rem:.3e} (tol {LP_TOL:.0e}, borderline "
+                f"{FACTOR_BORDERLINE:.0e}); refine the filter coefficients")
         # synthetic division of sum coeffs[i] z^i by (1 + z), then times 2
         q = np.zeros(len(coeffs) - 1, dtype=complex)
         q[-1] = coeffs[-1]

@@ -1,5 +1,5 @@
-"""Iterated filters, the order-j analysis operator, and the low-pass
-transfer operator with its contraction diagnostics.
+"""The order-j analysis cascade, and the low-pass transfer operator with
+its contraction diagnostics.
 """
 
 from __future__ import annotations
@@ -18,22 +18,11 @@ from .seqcore import (
     downsample,
     involute,
     norm_sq,
-    upsample,
-    zero_seq,
 )
 
 J_MAX = 20
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class IteratedFilters:
-    """Effective low/high-pass filters for levels 1..j of the cascade."""
-
-    j: int
-    h_list: list[FiniteSeq]
-    g_list: list[FiniteSeq]
 
 
 @dataclass(frozen=True)
@@ -62,26 +51,6 @@ class AnalysisOutput:
         }
 
 
-def _check_order(j: int) -> None:
-    if j < 1:
-        raise ValueError(f"iteration order must be >= 1, got {j}")
-    if j > J_MAX:
-        raise ValueError(f"iteration order {j} exceeds the cap {J_MAX}")
-
-
-def iterate_filters(pair: FilterPair, j: int) -> IteratedFilters:
-    """Build h_l = h * Uh * ... * U^(l-1)h and g_l = h_(l-1) * U^(l-1)g
-    for l = 1..j by time-domain convolution."""
-    _check_order(j)
-    h_list = [pair.h]
-    g_list = [pair.g]
-    for l in range(2, j + 1):
-        prev = h_list[-1]
-        h_list.append(convolve(prev, upsample(pair.h, l - 1)))
-        g_list.append(convolve(prev, upsample(pair.g, l - 1)))
-    return IteratedFilters(j, h_list, g_list)
-
-
 def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteSeq]]:
     """Yield (channel, low) for levels 1, 2, ... of the two-channel cascade:
     channel = D(low * involute(g)) and the next low = D(low * involute(h)).
@@ -95,6 +64,13 @@ def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteS
         yield channel, low
 
 
+def _levels(pair: FilterPair, x: FiniteSeq, j: int) -> list[tuple[FiniteSeq, FiniteSeq]]:
+    """The first j levels of the cascade, j >= 1."""
+    if j < 1:
+        raise ValueError(f"iteration order must be >= 1, got {j}")
+    return list(islice(cascade(pair, x), j))
+
+
 def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
     """Order-j analysis: channels[l] = D^l(x * involute(g_l)) plus the
     residual D^j(x * involute(h_j)).
@@ -103,42 +79,28 @@ def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
     level), which agrees with the iterated-filter formulas through the
     noble identity.
     """
-    _check_order(j)
-    levels = list(islice(cascade(pair, x), j))
+    if j > J_MAX:
+        raise ValueError(f"iteration order {j} exceeds the cap {J_MAX}")
+    levels = _levels(pair, x, j)
     return AnalysisOutput(j, [c for c, _ in levels], levels[-1][1])
 
 
 def energy_profile(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Per-channel energies [||(Fx)_1||^2, ..., ||(Fx)_j_max||^2, residual]
     of the first j_max cascade levels."""
-    if j_max < 1:
-        raise ValueError(f"iteration order must be >= 1, got {j_max}")
-    levels = list(islice(cascade(pair, x), j_max))
+    levels = _levels(pair, x, j_max)
     return [norm_sq(c) for c, _ in levels] + [norm_sq(levels[-1][1])]
 
 
 def lowpass_residual_norms(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Norms ||(F_j x)_(j+1)|| of the cascade's low-pass residual for
     j = 1..j_max.  Supports stay bounded, so large j is cheap."""
-    return [math.sqrt(norm_sq(low)) for _, low in islice(cascade(pair, x), j_max)]
+    return [math.sqrt(norm_sq(low)) for _, low in _levels(pair, x, j_max)]
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Matrix of x -> D(x*h) on sequences supported in [-L, L].
-
-    entries[k + L, m + L] = h(2k - m) for |k|, |m| <= L.
-    """
-
-    L: int
-    entries: np.ndarray
-
-    def apply(self, x: FiniteSeq) -> FiniteSeq:
-        vec = np.array([x.at(n) for n in range(-self.L, self.L + 1)])
-        return FiniteSeq(-self.L, self.entries @ vec)
-
-
-def transfer_matrix(h: FiniteSeq, L: int) -> TransferMatrix:
+def transfer_matrix(h: FiniteSeq, L: int) -> np.ndarray:
+    """Matrix of x -> D(x*h) on sequences supported in [-L, L]: entry
+    [k + L, m + L] is h(2k - m) for |k|, |m| <= L."""
     check_lowpass(h)
     if h.is_zero:
         raise FilterError("transfer matrix of the zero filter is undefined")
@@ -151,7 +113,7 @@ def transfer_matrix(h: FiniteSeq, L: int) -> TransferMatrix:
     inside = (idx >= 0) & (idx < len(h.coeffs))
     entries = np.zeros((2 * L + 1, 2 * L + 1), dtype=complex)
     entries[inside] = h.coeffs[idx[inside]]
-    return TransferMatrix(L, entries)
+    return entries
 
 
 def spectral_radius(mat: np.ndarray) -> float:
@@ -189,12 +151,11 @@ def contraction_certificate(h: FiniteSeq, L: int) -> ContractionCertificate:
     1/sqrt(2) for any low-pass filter.  The spectral radius is reported
     whether or not the hypothesis holds.
     """
-    tm = transfer_matrix(h, L)
     coeffs = h.coeffs
     nonneg = bool(np.all(coeffs.real >= -1e-12) and np.all(np.abs(coeffs.imag) <= 1e-12))
     idx = h.indices
     even_sum = float(np.sum(coeffs[idx % 2 == 0]).real)
     odd_sum = float(np.sum(coeffs[idx % 2 == 1]).real)
-    rho = spectral_radius(tm.entries)
+    rho = spectral_radius(transfer_matrix(h, L))
     verdict = nonneg and rho <= INV_SQRT2 + 1e-9
     return ContractionCertificate(L, nonneg, even_sum, odd_sum, rho, verdict)

@@ -17,7 +17,7 @@ from itertools import islice
 import numpy as np
 
 from .filters import FactoredLowpass, FilterPair
-from .iterate import cascade, iterate_filters, lowpass_residual_norms
+from .iterate import cascade, lowpass_residual_norms
 from .seqcore import (
     FiniteSeq,
     Grid,
@@ -25,27 +25,22 @@ from .seqcore import (
     dtft_at,
     dtft_grid,
     norm_sq,
-    translate,
     upsample,
 )
 
 SQRT2 = math.sqrt(2.0)
 
-TOL_SPAN_DEFAULT = 1e-9
+TOL_SPAN = 1e-9
 # Allowance for float round-off in the strict grid test; Haar sits exactly on
 # the threshold and lands within ~1e-15 of it.
-TOL_EXPAND_DEFAULT = 1e-12
+TOL_EXPAND = 1e-12
 GRAMIAN_J_CAP = 10
+# slack of the bound-transfer containment tests
+TOL_TRANSFER = 1e-6
 
 
 class GridTooCoarseError(ValueError):
     """The grid cannot certify a supremum at the requested degree."""
-
-
-def default_grid_size(degree: int) -> int:
-    """Power-of-two grid size keeping the Bernstein inflation below 1.05."""
-    n = max(4096, 64 * (degree + 1))
-    return 1 << (n - 1).bit_length()
 
 
 def trig_degree(x: FiniteSeq) -> int:
@@ -159,7 +154,6 @@ class ExpandCertificate:
     verdict: bool
     worst_xi: float
     grid_size: int
-    tol_expand: float
 
     def to_json_obj(self) -> dict:
         return {
@@ -167,21 +161,19 @@ class ExpandCertificate:
             "verdict": self.verdict,
             "worst_xi": self.worst_xi,
             "grid": self.grid_size,
-            "tolerances": {"tol_expand": self.tol_expand},
+            "tolerances": {"tol_expand": TOL_EXPAND},
         }
 
 
-def expand_certificate(pair: FilterPair, grid: Grid,
-                       tol_expand: float = TOL_EXPAND_DEFAULT) -> ExpandCertificate:
+def expand_certificate(pair: FilterPair, grid: Grid) -> ExpandCertificate:
     lam_min, _ = mstar_m_eigenfunctions(pair, grid)
     idx = int(np.argmin(lam_min))
     grid_min = float(lam_min[idx])
     return ExpandCertificate(
         grid_min=grid_min,
-        verdict=grid_min >= 1.0 - tol_expand,
+        verdict=grid_min >= 1.0 - TOL_EXPAND,
         worst_xi=float(grid.points[idx]),
-        grid_size=grid.size,
-        tol_expand=tol_expand)
+        grid_size=grid.size)
 
 
 def std_expand_profile(h: FiniteSeq, grid: Grid) -> np.ndarray:
@@ -203,25 +195,23 @@ class SpanCertificate:
     det_min: float
     verdict: bool
     grid_size: int
-    tol_span: float
 
     def to_json_obj(self) -> dict:
         return {
             "det_min": self.det_min,
             "verdict": self.verdict,
             "grid": self.grid_size,
-            "tolerances": {"tol_span": self.tol_span},
+            "tolerances": {"tol_span": TOL_SPAN},
         }
 
 
-def span_certificate(pair: FilterPair, grid: Grid,
-                     tol_span: float = TOL_SPAN_DEFAULT) -> SpanCertificate:
+def span_certificate(pair: FilterPair, grid: Grid) -> SpanCertificate:
     half = grid.points / 2.0
     g0, g1, h0, h1 = _two_channel_values(pair, half)
     det = np.abs(h0 * g1 - g0 * h1)
     det_min = float(np.min(det))
-    return SpanCertificate(det_min=det_min, verdict=det_min > tol_span,
-                           grid_size=grid.size, tol_span=tol_span)
+    return SpanCertificate(det_min=det_min, verdict=det_min > TOL_SPAN,
+                           grid_size=grid.size)
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +244,6 @@ def gramian_fibers(pair: FilterPair, j: int, xi: np.ndarray) -> np.ndarray:
     return X
 
 
-def gramian_dense(pair: FilterPair, j: int, xi: float) -> np.ndarray:
-    """Dense pre-Gramian of the order-j generator set at a single point.
-
-    Columns follow the generator ordering: for each level l = 1..j the
-    translates T^(2^l k) g_l, k = 0..2^(j-l)-1, then the final column for
-    the iterated low-pass filter.  Row m evaluates the transform at
-    2^(-j)(xi + m), scaled by 2^(-j/2).  Intended as an independent oracle
-    for the factored fibers; kept to small j.
-    """
-    if not 1 <= j <= 4:
-        raise ValueError(f"dense pre-Gramian is an oracle for j in 1..4, got {j}")
-    filters = iterate_filters(pair, j)
-    dim = 1 << j
-    pts = (xi + np.arange(dim)) * (2.0 ** (-j))
-    cols = []
-    for l in range(1, j + 1):
-        g_l = filters.g_list[l - 1]
-        for k in range(1 << (j - l)):
-            cols.append(dtft_at(translate(g_l, (1 << l) * k), pts))
-    cols.append(dtft_at(filters.h_list[j - 1], pts))
-    return np.stack(cols, axis=1) * (2.0 ** (-j / 2.0))
-
-
 @dataclass(frozen=True)
 class GramianReport:
     """Exact frame bounds of the order-j finite bank from fiber singular
@@ -296,10 +263,14 @@ class GramianReport:
         }
 
 
-def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
-    """A_j = min over the grid of sigma_min(X)^2 and B_j = max sigma_max(X)^2."""
+def _check_gramian_order(j: int) -> None:
     if not 1 <= j <= GRAMIAN_J_CAP:
         raise ValueError(f"gramian order must be in 1..{GRAMIAN_J_CAP}, got {j}")
+
+
+def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
+    """A_j = min over the grid of sigma_min(X)^2 and B_j = max sigma_max(X)^2."""
+    _check_gramian_order(j)
     chunk = (1 << 22) >> (2 * j)
     lower = math.inf
     upper = 0.0
@@ -344,8 +315,7 @@ class BoundTransferReport:
 
 
 def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
-                         n_signals: int = 64, seed: int = 0,
-                         tol: float = 1e-6) -> BoundTransferReport:
+                         n_signals: int = 64, seed: int = 0) -> BoundTransferReport:
     """Cross-check the finite-order bounds against the empirical
     infinite-bank Rayleigh envelope over random unit signals.
 
@@ -354,13 +324,15 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     falsifiable and both are tested: every exact finite-order lower bound
     A_j must satisfy A_j >= min{A, A/B} - tol, and every sampled quotient
     must land inside the transferred finite-order envelope
-    [min{A*, A*/B*} - tol, max{B*, B*/A*} + tol] with A* = min_j A_j and
-    B* = max_j B_j.
+    [min{A*, A*/B*} - tol, max{B*, B*/A*} + tol] with A* = min_j A_j,
+    B* = max_j B_j and tol = TOL_TRANSFER.  j_max must lie in
+    1..GRAMIAN_J_CAP; it is checked before any work.
 
     Channel sums are truncated once the cumulative residual energy falls
     below 1e-8; for banks where it never does, the depth is capped at 16
     iterations and flagged.
     """
+    _check_gramian_order(j_max)
     reports = [gramian_bounds(pair, j, grid) for j in range(1, j_max + 1)]
     a_star = min(r.lower for r in reports)
     b_star = max(r.upper for r in reports)
@@ -370,8 +342,8 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     flagged = False
     violations = []
     if a_star > 0.0:
-        q_lo = min(a_star, a_star / b_star) - tol
-        q_hi = max(b_star, b_star / a_star) + tol
+        q_lo = min(a_star, a_star / b_star) - TOL_TRANSFER
+        q_hi = max(b_star, b_star / a_star) + TOL_TRANSFER
     else:
         q_lo, q_hi = -math.inf, math.inf
     for i in range(n_signals):
@@ -402,7 +374,7 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     else:
         lo_bound = min(emp_lo, emp_lo / emp_hi)
         for r in reports:
-            if r.lower < lo_bound - tol:
+            if r.lower < lo_bound - TOL_TRANSFER:
                 violations.append(
                     f"order {r.order}: lower bound {r.lower:.6g} below "
                     f"min(A, A/B) = {lo_bound:.6g} (seed {seed})")
@@ -418,66 +390,13 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
 
 
 # ---------------------------------------------------------------------------
-# Supporting estimate checks
-
-
-@dataclass(frozen=True)
-class AnnulusReport:
-    """Downsampled energy of a dyadic-annulus spectrum against its bound."""
-
-    j: int
-    l: int
-    ratio: float
-    bound: float
-    equality_expected: bool
-    ok: bool
-
-
-def downsample_annulus_check(j: int, l: int, grid: Grid,
-                             seed: int = 0, tol: float = 1e-9) -> AnnulusReport:
-    """Grid-discretized check of ||D^j x||^2 <= 2^(-min(j,l)) ||x||^2 for a
-    nonnegative spectrum supported on the annulus 2^-(l+1) < |xi| <= 2^-l,
-    with equality when l >= j.
-
-    Downsampling acts on the grid spectrum by 2^-j-scaled periodization;
-    norms are computed through the grid Parseval identity.
-    """
-    N = grid.size
-    if N % (1 << (j + l + 1)) != 0:
-        raise ValueError(
-            f"grid size {N} must be divisible by 2^(j+l+1) = {1 << (j + l + 1)}")
-    rng = np.random.default_rng(seed)
-    xi = grid.centered_points
-    # open annulus: the boundary points are a null set in the continuum but
-    # carry grid weight, and the two endpoints +-2^-l alias onto the same
-    # periodization residue, which would spoil the exact-equality case
-    mask = (np.abs(xi) > 2.0 ** -(l + 1)) & (np.abs(xi) < 2.0 ** -l)
-    spec = np.where(mask, rng.random(N) + 0.1, 0.0)
-    energy = float(np.sum(spec ** 2) / N)
-    Nd = N >> j
-    down = spec.reshape(1 << j, Nd).sum(axis=0) * 2.0 ** (-j)
-    energy_down = float(np.sum(np.abs(down) ** 2) / Nd)
-    ratio = energy_down / energy
-    bound = 2.0 ** (-min(j, l))
-    if l >= j:
-        ok = abs(ratio - bound) <= tol
-    else:
-        ok = ratio <= bound + tol
-    return AnnulusReport(j=j, l=l, ratio=ratio, bound=bound,
-                         equality_expected=l >= j, ok=ok)
-
-
-@dataclass(frozen=True)
-class SineProductReport:
-    """Worst-case slack of the telescoping cosine-product bound."""
-
-    j: int
-    max_excess: float
-    ok: bool
+# Sine-product profile
 
 
 def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profile data (xi, product modulus, bound) behind sine_product_check."""
+    """Profile data (xi, product modulus, bound) of the telescoping bound
+    |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| <= min(1, 1/(2^(j+1)|xi|)) over
+    the centered grid."""
     if j < 1:
         raise ValueError(f"sine product length must be >= 1, got {j}")
     xi = grid.centered_points
@@ -487,11 +406,3 @@ def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.
     with np.errstate(divide="ignore"):
         bound = np.minimum(1.0, 1.0 / (2.0 ** (j + 1) * np.abs(xi)))
     return xi, np.abs(prod), bound
-
-
-def sine_product_check(j: int, grid: Grid, tol: float = 1e-12) -> SineProductReport:
-    """Check |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| <= min(1, 1/(2^(j+1)|xi|))
-    at every grid point of [-1/2, 1/2]."""
-    _, mod, bound = sine_product_values(j, grid)
-    excess = float(np.max(mod - bound))
-    return SineProductReport(j=j, max_excess=excess, ok=excess <= tol)

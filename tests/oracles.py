@@ -1,0 +1,83 @@
+"""Independent reference constructions the tests check the package against.
+
+None of these is used by the package: the dense pre-Gramian and the
+time-domain iterated filters cross-check the factored Gramian fibers and
+the analysis cascade, and the annulus and sine-product checks verify the
+estimates the stability proofs rest on.
+"""
+
+import numpy as np
+
+from fbstab.filters import FilterPair
+from fbstab.seqcore import FiniteSeq, Grid, convolve, dtft_at, translate, upsample
+from fbstab.stability import sine_product_values
+
+
+def iterate_filters(pair: FilterPair, j: int) -> tuple[list[FiniteSeq], list[FiniteSeq]]:
+    """(h_list, g_list) with h_l = h * Uh * ... * U^(l-1)h and
+    g_l = h_(l-1) * U^(l-1)g for l = 1..j, by time-domain convolution."""
+    h_list = [pair.h]
+    g_list = [pair.g]
+    for l in range(2, j + 1):
+        prev = h_list[-1]
+        h_list.append(convolve(prev, upsample(pair.h, l - 1)))
+        g_list.append(convolve(prev, upsample(pair.g, l - 1)))
+    return h_list, g_list
+
+
+def gramian_dense(pair: FilterPair, j: int, xi: float) -> np.ndarray:
+    """Dense pre-Gramian of the order-j generator set at a single point.
+
+    Columns follow the generator ordering: for each level l = 1..j the
+    translates T^(2^l k) g_l, k = 0..2^(j-l)-1, then the final column for
+    the iterated low-pass filter.  Row m evaluates the transform at
+    2^(-j)(xi + m), scaled by 2^(-j/2).  Kept to small j.
+    """
+    if not 1 <= j <= 4:
+        raise ValueError(f"dense pre-Gramian is an oracle for j in 1..4, got {j}")
+    h_list, g_list = iterate_filters(pair, j)
+    dim = 1 << j
+    pts = (xi + np.arange(dim)) * (2.0 ** (-j))
+    cols = []
+    for l in range(1, j + 1):
+        for k in range(1 << (j - l)):
+            cols.append(dtft_at(translate(g_list[l - 1], (1 << l) * k), pts))
+    cols.append(dtft_at(h_list[j - 1], pts))
+    return np.stack(cols, axis=1) * (2.0 ** (-j / 2.0))
+
+
+def downsample_annulus_check(j: int, l: int, grid: Grid, seed: int = 0) -> tuple[bool, float]:
+    """(ok, ratio) for ||D^j x||^2 <= 2^(-min(j,l)) ||x||^2 on a random
+    nonnegative spectrum supported on the annulus 2^-(l+1) < |xi| <= 2^-l,
+    with equality expected when l >= j; ratio = ||D^j x||^2 / ||x||^2 and
+    ok allows 1e-9 of round-off.
+
+    Downsampling acts on the grid spectrum by 2^-j-scaled periodization;
+    norms are computed through the grid Parseval identity.
+    """
+    N = grid.size
+    if N % (1 << (j + l + 1)) != 0:
+        raise ValueError(
+            f"grid size {N} must be divisible by 2^(j+l+1) = {1 << (j + l + 1)}")
+    rng = np.random.default_rng(seed)
+    xi = grid.centered_points
+    # open annulus: the boundary points are a null set in the continuum but
+    # carry grid weight, and the two endpoints +-2^-l alias onto the same
+    # periodization residue, which would spoil the exact-equality case
+    mask = (np.abs(xi) > 2.0 ** -(l + 1)) & (np.abs(xi) < 2.0 ** -l)
+    spec = np.where(mask, rng.random(N) + 0.1, 0.0)
+    energy = float(np.sum(spec ** 2) / N)
+    Nd = N >> j
+    down = spec.reshape(1 << j, Nd).sum(axis=0) * 2.0 ** (-j)
+    ratio = float(np.sum(np.abs(down) ** 2) / Nd) / energy
+    bound = 2.0 ** (-min(j, l))
+    ok = abs(ratio - bound) <= 1e-9 if l >= j else ratio <= bound + 1e-9
+    return ok, ratio
+
+
+def sine_product_check(j: int, grid: Grid) -> float:
+    """Largest excess of |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| over
+    min(1, 1/(2^(j+1)|xi|)) at the grid points of [-1/2, 1/2]; the bound
+    holds when it is <= 0 up to round-off."""
+    _, mod, bound = sine_product_values(j, grid)
+    return float(np.max(mod - bound))

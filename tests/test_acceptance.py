@@ -38,14 +38,13 @@ from fbstab.seqcore import (
 from fbstab.stability import (
     bessel_certificate,
     bound_transfer_check,
-    downsample_annulus_check,
     expand_certificate,
     gramian_bounds,
-    gramian_dense,
     gramian_fibers,
-    sine_product_check,
     std_expand_profile,
 )
+
+from oracles import downsample_annulus_check, gramian_dense, sine_product_check
 
 INV_SQRT2 = 1 / math.sqrt(2)
 HAAR = seq(0, [INV_SQRT2, INV_SQRT2])
@@ -219,12 +218,11 @@ def test_criterion_9_property_suites():
     for j in (1, 2, 3):
         for l in (1, 2, 3, 4):
             for s in (0, 1):
-                rep = downsample_annulus_check(j, l, agrid, seed=s)
-                ok &= rep.ok
+                ok &= downsample_annulus_check(j, l, agrid, seed=s)[0]
 
     # sine-product bound
     for j in (1, 2, 4, 6):
-        ok &= sine_product_check(j, agrid).ok
+        ok &= sine_product_check(j, agrid) <= 1e-12
 
     # Rayleigh containment and bound transfer
     grid2 = Grid(2048)

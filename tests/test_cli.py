@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import fbstab.cli
 from fbstab.cli import main
+from fbstab.stability import GRAMIAN_J_CAP
 
 HAAR_JSON = {"offset": 0, "coeffs": [1 / math.sqrt(2), 1 / math.sqrt(2)]}
 
@@ -79,6 +81,39 @@ def test_certify_input_errors(tmp_path, capsys):
     for bad_opt in (["--order", "0"], ["--order", "-3"], ["--s-max", "0"]):
         assert main(fam + bad_opt) == 1
     capsys.readouterr()
+
+
+def test_certify_rejects_order_above_cap_before_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("certificate work started")
+
+    for name in ("bessel_certificate", "expand_certificate", "gramian_bounds"):
+        monkeypatch.setattr(fbstab.cli, name, no_work)
+    assert main(["certify", "--family", "burt-adelson", "--a", "0.7",
+                 "--order", str(GRAMIAN_J_CAP + 1)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_tolerance_flags_are_gone(tmp_path, capsys):
+    fam = ["certify", "--family", "burt-adelson", "--a", "0.55",
+           "--grid", "256", "--order", "1"]
+    # a tolerance large enough to pass a non-expanding filter is refused
+    for flag in (["--tol-expand", "0.5"], ["--tol-span", "0.5"]):
+        assert main(fam + flag) == 1
+    assert main(["sweep", "--family", "burt-adelson", "--a-min", "0.5",
+                 "--a-max", "0.6", "--steps", "2", "--grid", "256",
+                 "--tol-expand", "0.5"]) == 1
+    # a NaN tolerance cannot reach the report (it printed invalid JSON)
+    out = tmp_path / "nan.json"
+    assert main(fam + ["--tol-expand", "nan", "--out", str(out)]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+    code, text = run(capsys, *fam)
+    report = json.loads(text)
+    assert code == 2 and report["pass"] is False
+    assert report["expand"]["grid_min"] < 1.0
+    assert report["expand"]["tolerances"] == {"tol_expand": 1e-12}
+    assert report["span"]["tolerances"] == {"tol_span": 1e-9}
 
 
 def test_usage_errors_exit_one(capsys):

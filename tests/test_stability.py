@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fbstab.stability
 from fbstab.filters import (
     FactoredLowpass,
     FilterPair,
@@ -21,20 +22,18 @@ from fbstab.stability import (
     GridTooCoarseError,
     bessel_certificate,
     bound_transfer_check,
-    default_grid_size,
     dilated_product,
-    downsample_annulus_check,
     expand_certificate,
     gramian_bounds,
-    gramian_dense,
     gramian_fibers,
     mstar_m_eigenfunctions,
-    sine_product_check,
     span_certificate,
     std_expand_profile,
     trig_degree,
 )
 from fbstab.iterate import energy_profile, lowpass_residual_norms
+
+from oracles import downsample_annulus_check, gramian_dense, sine_product_check
 
 RNG = np.random.default_rng(5)
 
@@ -162,12 +161,6 @@ def test_bessel_memory_stays_small_at_s10():
         tracemalloc.stop()
     # a direct sum over the dense 8192 x 2041 phase matrix peaks at 510 MB here
     assert peak < 16 * 2 ** 20
-
-
-def test_default_grid_size():
-    assert default_grid_size(1) == 4096
-    n = default_grid_size(300)
-    assert n >= 64 * 301 and n & (n - 1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +356,16 @@ def test_bound_transfer_flags_degenerate_pair():
     assert any("not stable" in v for v in rep.violations)
 
 
+def test_bound_transfer_rejects_orders_outside_cap_before_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a Gramian order was built")
+
+    monkeypatch.setattr(fbstab.stability, "gramian_bounds", no_work)
+    for j_max in (0, -1, fbstab.stability.GRAMIAN_J_CAP + 1):
+        with pytest.raises(ValueError, match="gramian order must be in"):
+            bound_transfer_check(haar_pair(), j_max, GRID)
+
+
 def _bound_transfer_oracle(pair, j_max, grid, n_signals, seed, tol=1e-6):
     """bound_transfer_check rebuilt on the depth-restart loop: every depth
     from 1 re-runs energy_profile until the residual energy drops below
@@ -430,17 +433,16 @@ def test_bound_transfer_matches_depth_restart_oracle():
 
 def test_annulus_equality_branch():
     for j, l in ((1, 1), (2, 3), (3, 5), (2, 2)):
-        rep = downsample_annulus_check(j, l, GRID)
-        assert rep.equality_expected and rep.ok
-        assert rep.bound == pytest.approx(2.0 ** (-j))
+        ok, ratio = downsample_annulus_check(j, l, GRID)
+        assert ok
+        assert ratio == pytest.approx(2.0 ** (-j), abs=1e-9)
 
 
 def test_annulus_inequality_branch():
     for j, l in ((3, 1), (2, 1), (4, 2)):
-        rep = downsample_annulus_check(j, l, GRID)
-        assert not rep.equality_expected
-        assert rep.ok
-        assert rep.ratio <= 2.0 ** (-l) + 1e-9
+        ok, ratio = downsample_annulus_check(j, l, GRID)
+        assert ok
+        assert ratio <= 2.0 ** (-l) + 1e-9
 
 
 def test_annulus_divisibility_validation():
@@ -450,9 +452,7 @@ def test_annulus_divisibility_validation():
 
 def test_sine_product_bound():
     for j in (1, 2, 3, 4, 6):
-        rep = sine_product_check(j, GRID)
-        assert rep.ok
-        assert rep.max_excess <= 1e-12
+        assert sine_product_check(j, GRID) <= 1e-12
 
 
 def test_sine_product_rejects_length_below_one():
