@@ -83,7 +83,10 @@ class FiniteSeq:
              for c in obj["coeffs"]], dtype=complex)
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("sequence coefficients must be finite (got NaN or Inf)")
-        return cls(int(obj["offset"]), coeffs)
+        offset = obj["offset"]
+        if isinstance(offset, bool) or not isinstance(offset, int):
+            raise ValueError(f"sequence offset must be an integer, got {offset!r}")
+        return cls(offset, coeffs)
 
 
 def seq(offset: int, coeffs) -> FiniteSeq:

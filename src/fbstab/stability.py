@@ -269,15 +269,24 @@ def _check_gramian_order(j: int) -> None:
 
 
 def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
-    """A_j = min over the grid of sigma_min(X)^2 and B_j = max sigma_max(X)^2."""
+    """A_j = min over the grid of sigma_min(X)^2 and B_j = max sigma_max(X)^2.
+
+    When g and h have real taps, g^(-u) = conj g^(u), so the fiber at
+    (N - m)/N is the complex conjugate of the fiber at m/N up to row and
+    column permutations and has the same singular values; only the points
+    m = 0..N//2 are then solved.  A pair with complex taps keeps all N.
+    Fibers are built a whole chunk at a time and the SVD runs on the
+    leading slice of the last chunk, which is a view, not a copy.
+    """
     _check_gramian_order(j)
     chunk = (1 << 22) >> (2 * j)
+    stop = grid.size // 2 + 1 if pair.h.is_real and pair.g.is_real else grid.size
     lower = math.inf
     upper = 0.0
     pts = grid.points
-    for start in range(0, grid.size, chunk):
+    for start in range(0, stop, chunk):
         X = gramian_fibers(pair, j, pts[start:start + chunk])
-        sv = np.linalg.svd(X, compute_uv=False)
+        sv = np.linalg.svd(X[:stop - start], compute_uv=False)
         lower = min(lower, float(np.min(sv[:, -1]) ** 2))
         upper = max(upper, float(np.max(sv[:, 0]) ** 2))
     return GramianReport(order=j, lower=lower, upper=upper, grid_size=grid.size)

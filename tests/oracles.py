@@ -2,7 +2,8 @@
 
 None of these is used by the package: the dense pre-Gramian and the
 time-domain iterated filters cross-check the factored Gramian fibers and
-the analysis cascade, and the annulus and sine-product checks verify the
+the analysis cascade, the full-grid bounds check the half-grid solve of
+real pairs, and the annulus and sine-product checks verify the
 estimates the stability proofs rest on.
 """
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from fbstab.filters import FilterPair
 from fbstab.seqcore import FiniteSeq, Grid, convolve, dtft_at, translate, upsample
-from fbstab.stability import sine_product_values
+from fbstab.stability import gramian_fibers, sine_product_values
 
 
 def iterate_filters(pair: FilterPair, j: int) -> tuple[list[FiniteSeq], list[FiniteSeq]]:
@@ -44,6 +45,13 @@ def gramian_dense(pair: FilterPair, j: int, xi: float) -> np.ndarray:
             cols.append(dtft_at(translate(g_list[l - 1], (1 << l) * k), pts))
     cols.append(dtft_at(h_list[j - 1], pts))
     return np.stack(cols, axis=1) * (2.0 ** (-j / 2.0))
+
+
+def gramian_bounds_full_grid(pair: FilterPair, j: int, grid: Grid) -> tuple[float, float]:
+    """(A_j, B_j) as the min of sigma_min^2 and the max of sigma_max^2 over
+    the SVDs of all N grid fibers, with no use of mirror symmetry."""
+    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points), compute_uv=False)
+    return float(np.min(sv[:, -1]) ** 2), float(np.max(sv[:, 0]) ** 2)
 
 
 def downsample_annulus_check(j: int, l: int, grid: Grid, seed: int = 0) -> tuple[bool, float]:

@@ -77,6 +77,15 @@ def test_certify_input_errors(tmp_path, capsys):
     sig.write_text(json.dumps({"offset": 0, "coeffs": [1.0, math.nan]}))
     assert main(["apply", "--family", "burt-adelson", "--a", "0.7",
                  "--signal", str(sig), "--order", "2"]) == 1
+    # offsets must be JSON integers: 0.9 was truncated to 0, true read as 1
+    for offset in (0.9, True, "1", -1, 2):
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps({"offset": offset, "coeffs": [s, s]}))
+        code = 0 if type(offset) is int else 1
+        assert main(["certify", "--filter", str(path), "--grid", "64",
+                     "--order", "1"]) == code
+        assert main(["apply", "--family", "burt-adelson", "--a", "0.7",
+                     "--signal", str(path), "--order", "2"]) == code
     fam = ["certify", "--family", "burt-adelson", "--a", "0.7", "--grid", "64"]
     for bad_opt in (["--order", "0"], ["--order", "-3"], ["--s-max", "0"]):
         assert main(fam + bad_opt) == 1

@@ -1,5 +1,6 @@
 """Golden CLI outputs: `certify`, `sweep`, `apply` and the three `profile`
-kinds on small grids, checked against the files in tests/golden/.
+kinds on small grids, odd sizes among them, checked against the files in
+tests/golden/.
 
 Keys (in order), integers, booleans and strings must match exactly; floats
 to 1e-12 relative, which admits last-ulp BLAS and libm differences between
@@ -38,10 +39,14 @@ CASES = {
                             "--order", "2")),
     "certify-ho-1.0": (0, ("certify", *HO, "--a", "1.0", "--grid", "1024",
                            "--order", "3", "--s-max", "4")),
+    "certify-ho-1.0-odd": (0, ("certify", *HO, "--a", "1.0", "--grid", "255",
+                               "--order", "4")),
     "certify-haar-file": (0, ("certify", "--filter", "{golden}/haar.json",
                               "--grid", "256", "--order", "4")),
     "sweep-ba": (0, ("sweep", *BA, "--a-min", "0.5", "--a-max", "0.78",
                      "--steps", "4", "--grid", "1024")),
+    "sweep-ba-odd": (0, ("sweep", *BA, "--a-min", "0.5", "--a-max", "0.78",
+                         "--steps", "4", "--grid", "255")),
     "sweep-ho": (0, ("sweep", *HO, "--a-min", "0.0", "--a-max", "1.5",
                      "--steps", "4", "--grid", "1024")),
     "apply-ho-1.0": (0, ("apply", *HO, "--a", "1.0",

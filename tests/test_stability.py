@@ -17,7 +17,16 @@ from fbstab.filters import (
     assemble,
     orthogonal_highpass,
 )
-from fbstab.seqcore import FiniteSeq, Grid, delta, dtft_at, norm_sq, seq, zero_seq
+from fbstab.seqcore import (
+    FiniteSeq,
+    Grid,
+    convolve,
+    delta,
+    dtft_at,
+    norm_sq,
+    seq,
+    zero_seq,
+)
 from fbstab.stability import (
     GridTooCoarseError,
     bessel_certificate,
@@ -33,7 +42,12 @@ from fbstab.stability import (
 )
 from fbstab.iterate import energy_profile, lowpass_residual_norms
 
-from oracles import downsample_annulus_check, gramian_dense, sine_product_check
+from oracles import (
+    downsample_annulus_check,
+    gramian_bounds_full_grid,
+    gramian_dense,
+    sine_product_check,
+)
 
 RNG = np.random.default_rng(5)
 
@@ -296,6 +310,77 @@ def test_gramian_fibers_match_level_product_oracle(pair):
     for j in range(1, 9):
         diff = np.abs(gramian_fibers(pair, j, xi) - _level_product_fibers(pair, j, xi))
         assert float(np.max(diff)) < 1e-13
+
+
+def _with_highpass(pair, taps):
+    """The pair with its high-pass convolved with taps at offset 0."""
+    return FilterPair(pair.h, convolve(pair.g, seq(0, taps)))
+
+
+def _mirror_gap(pair, j, grid):
+    """Largest difference of the fiber singular values at m/N and (N-m)/N,
+    relative to the largest singular value on the grid."""
+    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points), compute_uv=False)
+    mirror = sv[-np.arange(grid.size) % grid.size]
+    return float(np.max(np.abs(sv - mirror)) / np.max(sv))
+
+
+def _assert_matches_full_grid(pair, j, grid):
+    rep = gramian_bounds(pair, j, grid)
+    lower, upper = gramian_bounds_full_grid(pair, j, grid)
+    assert rep.lower == pytest.approx(lower, rel=1e-13)
+    assert rep.upper == pytest.approx(upper, rel=1e-13)
+
+
+@pytest.mark.parametrize("pair", [ba_pair(0.7), ho_pair(1.0),
+                                  _with_highpass(ba_pair(0.7), [1.0, 0.3])],
+                         ids=["ba-0.7", "ho-1.0", "ba-0.7-nonorth"])
+@pytest.mark.parametrize("size", [63, 64])
+def test_gramian_real_pair_half_grid_matches_full_grid(pair, size):
+    grid = Grid(size)
+    for j in range(1, 7):
+        assert _mirror_gap(pair, j, grid) <= 1e-13
+        _assert_matches_full_grid(pair, j, grid)
+
+
+@pytest.mark.parametrize("size", [63, 64])
+def test_gramian_complex_pair_keeps_full_grid(size):
+    pair = _with_highpass(ba_pair(0.7), [1.0, 0.3j])
+    assert not pair.g.is_real
+    grid = Grid(size)
+    for j in range(1, 7):
+        assert _mirror_gap(pair, j, grid) > 1e-3
+        _assert_matches_full_grid(pair, j, grid)
+
+
+def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
+    pair = ba_pair(0.7)
+    grid = Grid(1024)
+    build = fbstab.stability.gramian_fibers
+    builds = []
+
+    def traced_build(*args):
+        X = build(*args)
+        held, build_peak = tracemalloc.get_traced_memory()
+        builds.append((held, build_peak, X.nbytes))
+        tracemalloc.reset_peak()
+        return X
+
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", traced_build)
+    tracemalloc.start()
+    try:
+        build(pair, 6, grid.points)
+        _, fibers_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gramian_bounds(pair, 6, grid)
+        _, solve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ((held, build_peak, nbytes),) = builds
+    assert max(build_peak, solve_peak) <= 1.1 * fibers_peak
+    # Once the one 64 MB chunk exists, the SVD of its leading half adds
+    # nothing of that order; a masked (copying) input adds 32 MB.
+    assert solve_peak - held <= 0.1 * nbytes
 
 
 def test_gramian_dense_haar_orthonormal_columns():
