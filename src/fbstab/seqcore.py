@@ -13,6 +13,9 @@ import numpy as np
 
 TRIM_TOL = 1e-14
 EQ_TOL = 1e-12
+# Largest grid: DTFTs build an N x taps phase matrix, so N = 10**8 with five
+# taps would allocate 8 GB before any check ran.
+GRID_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,8 @@ class Grid:
     size: int
 
     def __post_init__(self):
-        if self.size < 2:
-            raise ValueError(f"grid size must be >= 2, got {self.size}")
+        if not 2 <= self.size <= GRID_CAP:
+            raise ValueError(f"grid size must be in 2..{GRID_CAP}, got {self.size}")
 
     @property
     def points(self) -> np.ndarray:

@@ -11,13 +11,14 @@ sampled estimates, with the grid size recorded so users can refine.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
 
 from .filters import FactoredLowpass, FilterPair
-from .iterate import cascade, lowpass_residual_norms
+from .iterate import J_MAX, cascade, lowpass_residual_norms
 from .seqcore import (
     FiniteSeq,
     Grid,
@@ -37,6 +38,13 @@ TOL_EXPAND = 1e-12
 GRAMIAN_J_CAP = 10
 # slack of the bound-transfer containment tests
 TOL_TRANSFER = 1e-6
+# threads that share each chunk's batched SVD: one per CPU this process may use
+SVD_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# SVD work (fibers x 8^j) each thread must get for a split to pay: smaller
+# batches run on the calling thread, because starting threads beside BLAS's
+# own for a few milliseconds of solving slowed bound_transfer_check (j <= 3)
+SVD_PART_WORK = 1 << 22
 
 
 class GridTooCoarseError(ValueError):
@@ -268,6 +276,12 @@ def _check_gramian_order(j: int) -> None:
         raise ValueError(f"gramian order must be in 1..{GRAMIAN_J_CAP}, got {j}")
 
 
+def _sv_extremes(X: np.ndarray) -> tuple[float, float]:
+    """(min sigma_min, max sigma_max) over a batch of fibers."""
+    sv = np.linalg.svd(X, compute_uv=False)
+    return float(np.min(sv[:, -1])), float(np.max(sv[:, 0]))
+
+
 def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
     """A_j = min over the grid of sigma_min(X)^2 and B_j = max sigma_max(X)^2.
 
@@ -275,20 +289,34 @@ def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
     (N - m)/N is the complex conjugate of the fiber at m/N up to row and
     column permutations and has the same singular values; only the points
     m = 0..N//2 are then solved.  A pair with complex taps keeps all N.
-    Fibers are built a whole chunk at a time and the SVD runs on the
-    leading slice of the last chunk, which is a view, not a copy.
+    Fibers are built a whole chunk at a time on the calling thread.  The
+    solved slice of each chunk is split into one contiguous view per usable
+    CPU (SVD_WORKERS, from the process's CPU affinity; there is no knob),
+    and the views' SVDs run on a thread pool, since LAPACK releases the
+    GIL.  A slice with less than SVD_PART_WORK of work per view is solved
+    on the calling thread instead.  Each fiber's SVD does not depend on the
+    batch it sits in, so the bounds are bit-identical for every split.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     _check_gramian_order(j)
     chunk = (1 << 22) >> (2 * j)
     stop = grid.size // 2 + 1 if pair.h.is_real and pair.g.is_real else grid.size
     lower = math.inf
     upper = 0.0
     pts = grid.points
-    for start in range(0, stop, chunk):
-        X = gramian_fibers(pair, j, pts[start:start + chunk])
-        sv = np.linalg.svd(X[:stop - start], compute_uv=False)
-        lower = min(lower, float(np.min(sv[:, -1]) ** 2))
-        upper = max(upper, float(np.max(sv[:, 0]) ** 2))
+    with ThreadPoolExecutor(SVD_WORKERS) as pool:
+        for start in range(0, stop, chunk):
+            solved = gramian_fibers(pair, j, pts[start:start + chunk])[:stop - start]
+            workers = min(SVD_WORKERS, (len(solved) << 3 * j) // SVD_PART_WORK)
+            if workers > 1:
+                parts = [part for part in np.array_split(solved, workers) if len(part)]
+                extremes = pool.map(_sv_extremes, parts)
+            else:
+                extremes = [_sv_extremes(solved)]
+            for lo, hi in extremes:
+                lower = min(lower, lo ** 2)
+                upper = max(upper, hi ** 2)
     return GramianReport(order=j, lower=lower, upper=upper, grid_size=grid.size)
 
 
@@ -405,9 +433,9 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
 def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profile data (xi, product modulus, bound) of the telescoping bound
     |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| <= min(1, 1/(2^(j+1)|xi|)) over
-    the centered grid."""
-    if j < 1:
-        raise ValueError(f"sine product length must be >= 1, got {j}")
+    the centered grid.  j must lie in 1..iterate.J_MAX."""
+    if not 1 <= j <= J_MAX:
+        raise ValueError(f"sine product length must be in 1..{J_MAX}, got {j}")
     xi = grid.centered_points
     prod = np.ones_like(xi, dtype=complex)
     for k in range(j):

@@ -9,6 +9,7 @@ import pytest
 
 import fbstab.cli
 from fbstab.cli import main
+from fbstab.seqcore import GRID_CAP
 from fbstab.stability import GRAMIAN_J_CAP
 
 HAAR_JSON = {"offset": 0, "coeffs": [1 / math.sqrt(2), 1 / math.sqrt(2)]}
@@ -268,7 +269,23 @@ def test_profile_sine_product(capsys):
 
 
 def test_profile_sine_product_rejects_bad_order(capsys):
-    for order in ("-2", "0"):
+    # 2000 used to escape as an OverflowError from 2.0 ** (j + 1)
+    for order in ("-2", "0", "21", "2000"):
         assert main(["profile", "--which", "sine-product",
                      "--order", order, "--grid", "8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+def test_grid_above_cap_rejected_before_work(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("certificate work started")
+
+    monkeypatch.setattr(fbstab.cli, "bessel_certificate", no_work)
+    too_big = str(GRID_CAP + 1)
+    assert main(["certify", "--family", "burt-adelson", "--a", "0.7",
+                 "--grid", too_big]) == 1
+    assert main(["sweep", "--family", "burt-adelson", "--a-min", "0.5",
+                 "--a-max", "0.7", "--grid", too_big]) == 1
     assert capsys.readouterr().out == ""

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fbstab.seqcore import (
+    GRID_CAP,
     FiniteSeq,
     Grid,
     convolve,
@@ -175,3 +176,6 @@ def test_invalid_orders_rejected():
         upsample(x, 0)
     with pytest.raises(ValueError):
         Grid(1)
+    with pytest.raises(ValueError):
+        Grid(GRID_CAP + 1)
+    assert Grid(1 << 22).size == GRID_CAP

@@ -2,6 +2,7 @@
 supporting estimate checks."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -351,6 +352,53 @@ def test_gramian_complex_pair_keeps_full_grid(size):
     for j in range(1, 7):
         assert _mirror_gap(pair, j, grid) > 1e-3
         _assert_matches_full_grid(pair, j, grid)
+
+
+def _assert_same_for_every_worker_count(pair, j, grid, monkeypatch):
+    # a work floor of 1 splits even the smallest batch across all workers
+    monkeypatch.setattr(fbstab.stability, "SVD_PART_WORK", 1)
+    bounds = set()
+    for workers in (1, 2, 3, 7):
+        monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", workers)
+        rep = gramian_bounds(pair, j, grid)
+        bounds.add((rep.lower, rep.upper))
+    ((lower, upper),) = bounds
+    full_lower, full_upper = gramian_bounds_full_grid(pair, j, grid)
+    assert lower == pytest.approx(full_lower, rel=1e-13)
+    assert upper == pytest.approx(full_upper, rel=1e-13)
+
+
+@pytest.mark.parametrize("pair", [ba_pair(0.7), ho_pair(1.0),
+                                  _with_highpass(ba_pair(0.7), [1.0, 0.3j])],
+                         ids=["ba-0.7", "ho-1.0", "ba-0.7-complex"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_gramian_bounds_with_fewer_fibers_than_workers(pair, size, monkeypatch):
+    for j in range(1, 4):
+        _assert_same_for_every_worker_count(pair, j, Grid(size), monkeypatch)
+
+
+def test_gramian_bounds_with_one_fiber_in_last_chunk(monkeypatch):
+    # j = 6 solves m = 0..1024 in chunks of 1024 fibers: the last holds one
+    _assert_same_for_every_worker_count(ba_pair(0.7), 6, Grid(2048), monkeypatch)
+
+
+def test_gramian_small_batches_stay_on_calling_thread(monkeypatch):
+    solve = fbstab.stability._sv_extremes
+    threads = []
+
+    def recording_solve(X):
+        threads.append(threading.get_ident())
+        return solve(X)
+
+    monkeypatch.setattr(fbstab.stability, "_sv_extremes", recording_solve)
+    monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 2)
+    # 513 fibers of 8 x 8: 513 * 8^3 is below SVD_PART_WORK
+    gramian_bounds(ba_pair(0.7), 3, Grid(1024))
+    assert threads == [threading.get_ident()]
+    threads.clear()
+    # 2049 fibers of 16 x 16: 2049 * 8^4 is two parts of SVD_PART_WORK
+    gramian_bounds(ba_pair(0.7), 4, Grid(4096))
+    assert len(threads) == 2 and threading.get_ident() not in threads
 
 
 def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
