@@ -3,13 +3,17 @@
 Subcommands: `certify` (run all stability certificates and Gramian bounds),
 `sweep` (family parameter sweep to CSV), `apply` (run the order-j analysis
 operator on a signal), and `profile` (grid profiles behind the certificates,
-as CSV).
+as CSV).  `certify`, `sweep` and `profile` take the evaluation grid size
+`--grid`; `apply` works on sequences, not on a grid, and rejects it.
 
 Output is deterministic: floats are printed with 17 significant digits and
-booleans as 0/1 in CSV, so identical invocations are byte-identical.
+booleans as 0/1 in CSV, so identical invocations are byte-identical.  Each
+certificate in a `certify` report is its dataclass's fields, key for key
+(e.g. `BesselCertificate.grid` is `"grid"`).
 
 Exit codes: 0 all requested certificates pass, 2 a certificate failed,
-1 usage or input error.
+1 usage or input error.  A NaN or infinite `--a` or filter tap is an input
+error: NaN never passes a filter axiom.
 """
 
 from __future__ import annotations
@@ -226,8 +230,6 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
                    help="low-pass filter JSON file (excludes --family/--a)")
     p.add_argument("--highpass", default="orthogonal",
                    help="'orthogonal' or a high-pass filter JSON file")
-    p.add_argument("--grid", type=int, default=8192,
-                   help="evaluation grid size (default 8192)")
     p.add_argument("--out", help="output path (default stdout)")
 
 
@@ -240,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="run all stability certificates")
     _add_source_args(p)
+    p.add_argument("--grid", type=int, default=8192,
+                   help="evaluation grid size (default 8192)")
     p.add_argument("--order", type=int, default=4,
                    help=f"max Gramian iteration order, 1..{GRAMIAN_J_CAP} (default 4)")
     p.add_argument("--s-max", type=int, default=3,
@@ -263,6 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="grid profiles as CSV")
     _add_source_args(p)
+    p.add_argument("--grid", type=int, default=8192,
+                   help="evaluation grid size (default 8192)")
     p.add_argument("--which", required=True,
                    choices=("std-expand", "eigenfunctions", "sine-product"))
     p.add_argument("--order", type=int, default=4,

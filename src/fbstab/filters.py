@@ -18,6 +18,7 @@ from .seqcore import (
 
 SQRT2 = math.sqrt(2.0)
 
+# axiom tolerance; each test reads `not ... < LP_TOL`, which a NaN fails
 LP_TOL = 1e-9
 # a residual at z = -1 in [LP_TOL, FACTOR_BORDERLINE) (relative to the
 # coefficient scale) is too large to be round-off and too small to trust
@@ -34,18 +35,18 @@ class FactorizationError(FilterError):
 
 def check_lowpass(h: FiniteSeq) -> None:
     v0 = dtft_at(h, 0.0)
-    if abs(v0 - SQRT2) >= LP_TOL:
+    if not abs(v0 - SQRT2) < LP_TOL:
         raise FilterError(
             f"low-pass axiom violated: transform at 0 is {v0}, expected sqrt(2)")
     vh = dtft_at(h, 0.5)
-    if abs(vh) >= LP_TOL:
+    if not abs(vh) < LP_TOL:
         raise FilterError(
             f"low-pass axiom violated: transform at 1/2 is {vh}, expected 0")
 
 
 def check_highpass(g: FiniteSeq) -> None:
     v0 = dtft_at(g, 0.0)
-    if abs(v0) >= LP_TOL:
+    if not abs(v0) < LP_TOL:
         raise FilterError(
             f"high-pass axiom violated: transform at 0 is {v0}, expected 0")
 
@@ -78,25 +79,18 @@ class FactoredLowpass:
         if self.n < 1:
             raise FilterError(f"cosine-factor order must be >= 1, got {self.n}")
         p0 = dtft_at(self.p, 0.0)
-        if abs(p0 - 1.0) >= 1e-10:
+        if not abs(p0 - 1.0) < 1e-10:
             raise FilterError(f"p must satisfy p^(0) = 1, got {p0}")
-
-    def to_json_obj(self) -> dict:
-        return {"n": self.n, "p": self.p.to_json_obj()}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "FactoredLowpass":
-        return cls(int(obj["n"]), FiniteSeq.from_json_obj(obj["p"]))
 
 
 def burt_adelson(a: float) -> FiniteSeq:
-    """Five-tap symmetric low-pass family with parameter a > 0.
+    """Five-tap symmetric low-pass family with a finite parameter a > 0.
 
     h/sqrt(2) takes the values (0.25 - a/2, 0.25, a, 0.25, 0.25 - a/2)
     on k = -2..2.
     """
-    if a <= 0:
-        raise FilterError(f"family parameter must be positive, got {a}")
+    if not 0 < a < math.inf:  # rejects NaN too
+        raise FilterError(f"family parameter must be positive and finite, got {a}")
     c = 0.25 - a / 2.0
     h = seq(-2, SQRT2 * np.array([c, 0.25, a, 0.25, c]))
     check_lowpass(h)
@@ -104,9 +98,9 @@ def burt_adelson(a: float) -> FiniteSeq:
 
 
 def higher_order(a: float) -> FactoredLowpass:
-    """Order-3 cosine factor with p(xi) = (1+2a) - 2a cos(2 pi xi), a > 0."""
-    if a <= 0:
-        raise FilterError(f"family parameter must be positive, got {a}")
+    """Order-3 cosine factor with p(xi) = (1+2a) - 2a cos(2 pi xi), finite a > 0."""
+    if not 0 < a < math.inf:  # rejects NaN too
+        raise FilterError(f"family parameter must be positive and finite, got {a}")
     p = seq(-1, [-a, 1.0 + 2.0 * a, -a])
     return FactoredLowpass(3, p)
 

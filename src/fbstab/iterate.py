@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 
 import numpy as np
@@ -133,14 +133,7 @@ class ContractionCertificate:
     verdict: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "L": self.L,
-            "nonnegative": self.nonnegative,
-            "even_sum": self.even_sum,
-            "odd_sum": self.odd_sum,
-            "spectral_radius": self.spectral_radius,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def contraction_certificate(h: FiniteSeq, L: int) -> ContractionCertificate:

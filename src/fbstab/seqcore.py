@@ -24,8 +24,9 @@ class FiniteSeq:
 
     ``coeffs[i]`` holds the value at integer index ``offset + i``.  The
     representation is canonical: leading/trailing coefficients with
-    magnitude below ``TRIM_TOL`` are dropped on construction, and the zero
-    sequence is stored as an empty array with offset 0.
+    magnitude at most ``TRIM_TOL`` are dropped on construction (NaN is
+    kept, so that the filter checks see it), and the zero sequence is
+    stored as an empty array with offset 0.
     """
 
     offset: int
@@ -33,7 +34,8 @@ class FiniteSeq:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        nz = np.flatnonzero(np.abs(c) > TRIM_TOL)
+        # `not <=` rather than `>`, so NaN coefficients are kept, never trimmed
+        nz = np.flatnonzero(~(np.abs(c) <= TRIM_TOL))
         if nz.size == 0:
             object.__setattr__(self, "offset", 0)
             object.__setattr__(self, "coeffs", np.zeros(0, dtype=complex))

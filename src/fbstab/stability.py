@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -73,22 +73,12 @@ class BesselCertificate:
     threshold: float
     epsilon: float
     verdict: bool
-    grid_size: int
+    grid: int
     grid_max: float
     degree: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "s": self.s,
-            "n": self.n,
-            "sup_value": self.sup_value,
-            "threshold": self.threshold,
-            "epsilon": self.epsilon,
-            "verdict": self.verdict,
-            "grid": self.grid_size,
-            "grid_max": self.grid_max,
-            "degree": self.degree,
-        }
+        return asdict(self)
 
 
 def dilated_product(p: FiniteSeq, s: int) -> FiniteSeq:
@@ -122,7 +112,7 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
     epsilon = f.n - math.log2(sup_value) / s if sup_value > 0 else math.inf
     return BesselCertificate(
         s=s, n=f.n, sup_value=sup_value, threshold=threshold, epsilon=epsilon,
-        verdict=sup_value < threshold, grid_size=grid.size, grid_max=grid_max,
+        verdict=sup_value < threshold, grid=grid.size, grid_max=grid_max,
         degree=d)
 
 
@@ -161,16 +151,10 @@ class ExpandCertificate:
     grid_min: float
     verdict: bool
     worst_xi: float
-    grid_size: int
+    grid: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "grid_min": self.grid_min,
-            "verdict": self.verdict,
-            "worst_xi": self.worst_xi,
-            "grid": self.grid_size,
-            "tolerances": {"tol_expand": TOL_EXPAND},
-        }
+        return {**asdict(self), "tolerances": {"tol_expand": TOL_EXPAND}}
 
 
 def expand_certificate(pair: FilterPair, grid: Grid) -> ExpandCertificate:
@@ -181,7 +165,7 @@ def expand_certificate(pair: FilterPair, grid: Grid) -> ExpandCertificate:
         grid_min=grid_min,
         verdict=grid_min >= 1.0 - TOL_EXPAND,
         worst_xi=float(grid.points[idx]),
-        grid_size=grid.size)
+        grid=grid.size)
 
 
 def std_expand_profile(h: FiniteSeq, grid: Grid) -> np.ndarray:
@@ -202,15 +186,10 @@ class SpanCertificate:
 
     det_min: float
     verdict: bool
-    grid_size: int
+    grid: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "det_min": self.det_min,
-            "verdict": self.verdict,
-            "grid": self.grid_size,
-            "tolerances": {"tol_span": TOL_SPAN},
-        }
+        return {**asdict(self), "tolerances": {"tol_span": TOL_SPAN}}
 
 
 def span_certificate(pair: FilterPair, grid: Grid) -> SpanCertificate:
@@ -219,7 +198,7 @@ def span_certificate(pair: FilterPair, grid: Grid) -> SpanCertificate:
     det = np.abs(h0 * g1 - g0 * h1)
     det_min = float(np.min(det))
     return SpanCertificate(det_min=det_min, verdict=det_min > TOL_SPAN,
-                           grid_size=grid.size)
+                           grid=grid.size)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +239,10 @@ class GramianReport:
     order: int
     lower: float
     upper: float
-    grid_size: int
+    grid: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "order": self.order,
-            "lower": self.lower,
-            "upper": self.upper,
-            "grid": self.grid_size,
-        }
+        return asdict(self)
 
 
 def _check_gramian_order(j: int) -> None:
@@ -317,7 +291,7 @@ def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
             for lo, hi in extremes:
                 lower = min(lower, lo ** 2)
                 upper = max(upper, hi ** 2)
-    return GramianReport(order=j, lower=lower, upper=upper, grid_size=grid.size)
+    return GramianReport(order=j, lower=lower, upper=upper, grid=grid.size)
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +315,7 @@ class BoundTransferReport:
         return not self.violations
 
     def to_json_obj(self) -> dict:
-        return {
-            "gramian": [r.to_json_obj() for r in self.gramian],
-            "empirical_lower": self.empirical_lower,
-            "empirical_upper": self.empirical_upper,
-            "residual_decay": self.residual_decay,
-            "truncation_flagged": self.truncation_flagged,
-            "violations": list(self.violations),
-        }
+        return asdict(self)
 
 
 def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,

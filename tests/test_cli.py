@@ -3,6 +3,8 @@ formats, and determinism."""
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from fbstab.cli import main
 from fbstab.seqcore import GRID_CAP
 from fbstab.stability import GRAMIAN_J_CAP
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 HAAR_JSON = {"offset": 0, "coeffs": [1 / math.sqrt(2), 1 / math.sqrt(2)]}
 
 
@@ -59,6 +62,12 @@ def test_certify_haar_from_file(tmp_path, capsys):
 
 def test_certify_input_errors(tmp_path, capsys):
     assert main(["certify", "--family", "burt-adelson", "--a", "-1"]) == 1
+    for family in ("burt-adelson", "higher-order"):
+        for a in ("nan", "inf"):
+            capsys.readouterr()
+            assert main(["certify", "--family", family, "--a", a]) == 1
+            assert capsys.readouterr().err == (
+                f"error: family parameter must be positive and finite, got {a}\n")
     assert main(["certify"]) == 1
     assert main(["certify", "--family", "burt-adelson"]) == 1
     assert main(["certify", "--filter", str(tmp_path / "missing.json")]) == 1
@@ -129,6 +138,11 @@ def test_tolerance_flags_are_gone(tmp_path, capsys):
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["bogus"]) == 1
+    # --grid belongs to certify, sweep and profile only
+    apply = ["apply", "--family", "burt-adelson", "--a", "0.7",
+             "--signal", str(GOLDEN / "signal.json"), "--out", os.devnull]
+    assert main(apply) == 0
+    assert main([*apply, "--grid", "7"]) == 1
     assert main(["sweep", "--family", "nope", "--a-min", "0", "--a-max", "1",
                  "--steps", "3"]) == 1
     capsys.readouterr()

@@ -55,6 +55,10 @@ def test_family_parameter_validation():
         burt_adelson(-0.3)
     with pytest.raises(FilterError):
         higher_order(0.0)
+    for family in (burt_adelson, higher_order):
+        for a in (math.nan, math.inf):
+            with pytest.raises(FilterError, match="positive and finite"):
+                family(a)
 
 
 def test_higher_order_polynomial():
@@ -171,13 +175,18 @@ def test_filter_pair_validation():
         FilterPair(HAAR, HAAR)  # h is not high-pass
     with pytest.raises(FilterError):
         FilterPair(seq(0, [1.0]), orthogonal_highpass(HAAR))
-
-
-def test_factored_lowpass_json_roundtrip():
-    f = higher_order(0.8)
-    g = FactoredLowpass.from_json_obj(f.to_json_obj())
-    assert g.n == f.n
-    assert seq_close(g.p, f.p)
+    # an end NaN must not be trimmed away (leaving Haar), and an inner one
+    # must fail the axioms although every comparison with NaN is false
+    s = 1 / math.sqrt(2)
+    for bad in (math.nan, math.inf):
+        for h in (seq(0, [bad, s, s]), seq(0, [s, bad, s])):
+            with pytest.raises(FilterError, match="low-pass"), \
+                    np.errstate(invalid="ignore"):
+                FilterPair(h, orthogonal_highpass(HAAR))
+        for g in (seq(0, [s, -s, bad]), seq(0, [s, bad, -s])):
+            with pytest.raises(FilterError, match="high-pass"), \
+                    np.errstate(invalid="ignore"):
+                FilterPair(HAAR, g)
 
 
 def test_factored_lowpass_validation():
@@ -185,6 +194,9 @@ def test_factored_lowpass_validation():
         FactoredLowpass(0, delta())
     with pytest.raises(FilterError):
         FactoredLowpass(2, seq(0, [0.5]))  # p^(0) != 1
+    for p in (seq(-1, [math.nan, 1.0, 0.0]), seq(-1, [0.5, math.nan, 0.5])):
+        with pytest.raises(FilterError, match="p must satisfy"):
+            FactoredLowpass(3, p)
 
 
 def test_check_lowpass_reports_values():

@@ -43,6 +43,12 @@ CASES = {
                                "--order", "4")),
     "certify-haar-file": (0, ("certify", "--filter", "{golden}/haar.json",
                               "--grid", "256", "--order", "4")),
+    # the orthogonal high-pass convolved with (1, 0.3i): complex taps, so
+    # the Gramian solves the whole grid and the report prints [re, im] pairs
+    "certify-ba-0.7-complex-highpass": (
+        2, ("certify", *BA, "--a", "0.7",
+            "--highpass", "{golden}/highpass-ba-0.7-complex.json",
+            "--grid", "128", "--order", "3")),
     "sweep-ba": (0, ("sweep", *BA, "--a-min", "0.5", "--a-max", "0.78",
                      "--steps", "4", "--grid", "1024")),
     "sweep-ba-odd": (0, ("sweep", *BA, "--a-min", "0.5", "--a-max", "0.78",

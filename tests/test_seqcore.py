@@ -45,6 +45,12 @@ def test_trimming_and_zero():
     assert z.offset == 0
     with pytest.raises(ValueError):
         z.support
+    # non-finite coefficients are never trimmed
+    for bad in (math.nan, math.inf):
+        x = seq(3, [bad, 1.0, 0.0, bad, 0.0])
+        assert x.support == (3, 6)
+        assert not np.isfinite(x.coeffs[0])
+        assert not seq(0, [bad]).is_zero
 
 
 def test_dtft_delta_is_constant_one():
