@@ -49,6 +49,7 @@ from .stability import (
     expand_certificate,
     gramian_bounds,
     gramian_fibers,
+    gramian_profile,
     mstar_m_eigenfunctions,
     sine_product_values,
     span_certificate,

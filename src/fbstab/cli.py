@@ -41,6 +41,7 @@ from .stability import (
     bessel_certificate,
     expand_certificate,
     gramian_bounds,
+    gramian_profile,
     mstar_m_eigenfunctions,
     sine_product_values,
     span_certificate,
@@ -127,7 +128,7 @@ def _load_lowpass(args) -> tuple[FiniteSeq, FactoredLowpass]:
 
 
 def _load_pair(args, h: FiniteSeq) -> FilterPair:
-    if args.highpass == "orthogonal":
+    if args.highpass in (None, "orthogonal"):
         return FilterPair(h, orthogonal_highpass(h))
     return FilterPair(h, FiniteSeq.from_json_obj(_read_json(args.highpass)))
 
@@ -145,7 +146,7 @@ def cmd_certify(args) -> int:
     span = span_certificate(pair, grid)
     lo, hi = h.support
     contraction = contraction_certificate(h, max(abs(lo), abs(hi)))
-    gramian = [gramian_bounds(pair, j, grid) for j in range(1, args.order + 1)]
+    gramian = gramian_profile(pair, args.order, grid)
     # overall verdict: a Bessel bound at some product length, plus the
     # expanding and span conditions; the contraction certificate is a
     # separate sufficient condition whose sign hypothesis often fails for
@@ -202,6 +203,9 @@ def cmd_apply(args) -> int:
 def cmd_profile(args) -> int:
     grid = Grid(args.grid)
     if args.which == "sine-product":
+        if any(v is not None for v in (args.family, args.a, args.filter_file, args.highpass)):
+            raise ValueError("--which sine-product takes no filter options "
+                             "(--family, --a, --filter, --highpass)")
         _, mod, bound = sine_product_values(args.order, grid)
         header = "xi,product,bound"
         cols = (grid.points, mod, bound)
@@ -228,8 +232,8 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", type=float, help="family parameter")
     p.add_argument("--filter", dest="filter_file",
                    help="low-pass filter JSON file (excludes --family/--a)")
-    p.add_argument("--highpass", default="orthogonal",
-                   help="'orthogonal' or a high-pass filter JSON file")
+    p.add_argument("--highpass",
+                   help="'orthogonal' (default) or a high-pass filter JSON file")
     p.add_argument("--out", help="output path (default stdout)")
 
 

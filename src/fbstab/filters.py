@@ -33,7 +33,15 @@ class FactorizationError(FilterError):
     """The cosine-factor multiplicity could not be decided reliably."""
 
 
+def _finite(x: FiniteSeq) -> bool:
+    """Whether every tap is finite.  Tested before any DTFT: its matmul
+    warns on an infinite tap before an axiom test could raise."""
+    return bool(np.all(np.isfinite(x.coeffs)))
+
+
 def check_lowpass(h: FiniteSeq) -> None:
+    if not _finite(h):
+        raise FilterError("low-pass filter has a non-finite tap")
     v0 = dtft_at(h, 0.0)
     if not abs(v0 - SQRT2) < LP_TOL:
         raise FilterError(
@@ -45,6 +53,8 @@ def check_lowpass(h: FiniteSeq) -> None:
 
 
 def check_highpass(g: FiniteSeq) -> None:
+    if not _finite(g):
+        raise FilterError("high-pass filter has a non-finite tap")
     v0 = dtft_at(g, 0.0)
     if not abs(v0) < LP_TOL:
         raise FilterError(
@@ -78,6 +88,8 @@ class FactoredLowpass:
     def __post_init__(self):
         if self.n < 1:
             raise FilterError(f"cosine-factor order must be >= 1, got {self.n}")
+        if not _finite(self.p):
+            raise FilterError("p must satisfy p^(0) = 1 with finite taps, got a non-finite tap")
         p0 = dtft_at(self.p, 0.0)
         if not abs(p0 - 1.0) < 1e-10:
             raise FilterError(f"p must satisfy p^(0) = 1, got {p0}")

@@ -205,18 +205,20 @@ def span_certificate(pair: FilterPair, grid: Grid) -> SpanCertificate:
 # Gramian fiberization
 
 
-def gramian_fibers(pair: FilterPair, j: int, xi: np.ndarray) -> np.ndarray:
-    """Batched 2^j x 2^j fiber matrices X_j(xi), built by the order recursion
-    X_k = Y_k diag(I_K, X_(k-1)) for k = 1..j from X_0 = 1, with K = 2^(k-1).
+def gramian_fibers(pair: FilterPair, j: int, xi: np.ndarray) -> list[np.ndarray]:
+    """Batched fiber matrices [X_1(xi), ..., X_j(xi)], X_k of size 2^k x 2^k,
+    built by the order recursion X_k = Y_k diag(I_K, X_(k-1)) for k = 1..j
+    from X_0 = 1, with K = 2^(k-1).
 
     With g_k, h_k the transform values of g, h at the 2K points
     2^-k (xi + q), q < 2K, scaled by 1/sqrt(2), row q of X_k is
     [g_k(q) e_(q mod K), h_k(q) X_(k-1)[q mod K]].  The unitary
-    block-Fourier factor relating X_j to the dense pre-Gramian is omitted;
+    block-Fourier factor relating X_k to the dense pre-Gramian is omitted;
     it does not change singular values.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     X = np.ones((xi.shape[0], 1, 1), dtype=complex)
+    fibers = []
     for k in range(1, j + 1):
         K = 1 << (k - 1)
         u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (-k))
@@ -225,10 +227,11 @@ def gramian_fibers(pair: FilterPair, j: int, xi: np.ndarray) -> np.ndarray:
         Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=complex)
         rows = np.arange(2 * K)
         Y[:, rows, rows % K] = g_k
-        Y[:, :K, K:] = h_k[:, :K, None] * X
-        Y[:, K:, K:] = h_k[:, K:, None] * X
+        np.multiply(h_k[:, :K, None], X, out=Y[:, :K, K:])
+        np.multiply(h_k[:, K:, None], X, out=Y[:, K:, K:])
         X = Y
-    return X
+        fibers.append(X)
+    return fibers
 
 
 @dataclass(frozen=True)
@@ -256,42 +259,74 @@ def _sv_extremes(X: np.ndarray) -> tuple[float, float]:
     return float(np.min(sv[:, -1])), float(np.max(sv[:, 0]))
 
 
-def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
-    """A_j = min over the grid of sigma_min(X)^2 and B_j = max sigma_max(X)^2.
+def _split_sv_extremes(pool, X: np.ndarray) -> tuple[float, float]:
+    """_sv_extremes of X, split into one contiguous view per worker on the
+    pool when each view gets at least SVD_PART_WORK (fibers x 8^j)."""
+    workers = min(SVD_WORKERS, len(X) * X.shape[-1] ** 3 // SVD_PART_WORK)
+    if workers <= 1:
+        return _sv_extremes(X)
+    parts = [part for part in np.array_split(X, workers) if len(part)]
+    extremes = list(pool.map(_sv_extremes, parts))
+    return min(lo for lo, _ in extremes), max(hi for _, hi in extremes)
+
+
+def _chunk_extremes(pool, pair: FilterPair, orders: range, xi: np.ndarray,
+                    count: int) -> list[tuple[float, float]]:
+    """_sv_extremes of the first `count` fibers at xi, for each order, from
+    one build; the build is released when this returns."""
+    fibers = gramian_fibers(pair, orders[-1], xi)
+    return [_split_sv_extremes(pool, fibers[j - 1][:count]) for j in orders]
+
+
+def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[GramianReport]:
+    """One GramianReport per order, from one pass over the grid.
 
     When g and h have real taps, g^(-u) = conj g^(u), so the fiber at
     (N - m)/N is the complex conjugate of the fiber at m/N up to row and
     column permutations and has the same singular values; only the points
     m = 0..N//2 are then solved.  A pair with complex taps keeps all N.
-    Fibers are built a whole chunk at a time on the calling thread.  The
-    solved slice of each chunk is split into one contiguous view per usable
-    CPU (SVD_WORKERS, from the process's CPU affinity; there is no knob),
-    and the views' SVDs run on a thread pool, since LAPACK releases the
-    GIL.  A slice with less than SVD_PART_WORK of work per view is solved
-    on the calling thread instead.  Each fiber's SVD does not depend on the
-    batch it sits in, so the bounds are bit-identical for every split.
+    Fibers are built a whole chunk at a time on the calling thread, up to
+    the highest order, and every requested order is solved from that build
+    before the next chunk is built.  Each solve is split into one
+    contiguous view per usable CPU (SVD_WORKERS, from the process's CPU
+    affinity; there is no knob), and the views' SVDs run on a thread pool,
+    since LAPACK releases the GIL.  A solve with less than SVD_PART_WORK of
+    work per view runs on the calling thread instead.  Each fiber's SVD
+    does not depend on the batch it sits in, so the bounds are
+    bit-identical for every split and every chunk size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    _check_gramian_order(j)
-    chunk = (1 << 22) >> (2 * j)
+    chunk = (1 << 22) >> (2 * orders[-1])
     stop = grid.size // 2 + 1 if pair.h.is_real and pair.g.is_real else grid.size
-    lower = math.inf
-    upper = 0.0
+    lower = [math.inf] * len(orders)
+    upper = [0.0] * len(orders)
     pts = grid.points
     with ThreadPoolExecutor(SVD_WORKERS) as pool:
         for start in range(0, stop, chunk):
-            solved = gramian_fibers(pair, j, pts[start:start + chunk])[:stop - start]
-            workers = min(SVD_WORKERS, (len(solved) << 3 * j) // SVD_PART_WORK)
-            if workers > 1:
-                parts = [part for part in np.array_split(solved, workers) if len(part)]
-                extremes = pool.map(_sv_extremes, parts)
-            else:
-                extremes = [_sv_extremes(solved)]
-            for lo, hi in extremes:
-                lower = min(lower, lo ** 2)
-                upper = max(upper, hi ** 2)
-    return GramianReport(order=j, lower=lower, upper=upper, grid=grid.size)
+            extremes = _chunk_extremes(pool, pair, orders, pts[start:start + chunk],
+                                       stop - start)
+            for i, (lo, hi) in enumerate(extremes):
+                lower[i] = min(lower[i], lo ** 2)
+                upper[i] = max(upper[i], hi ** 2)
+    return [GramianReport(order=j, lower=lo, upper=hi, grid=grid.size)
+            for j, lo, hi in zip(orders, lower, upper)]
+
+
+def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
+    """A_j = min over the grid of sigma_min(X_j)^2 and B_j = max
+    sigma_max(X_j)^2, solving order j alone (see _gramian_reports)."""
+    _check_gramian_order(j)
+    (report,) = _gramian_reports(pair, range(j, j + 1), grid)
+    return report
+
+
+def gramian_profile(pair: FilterPair, j_max: int, grid: Grid) -> list[GramianReport]:
+    """[gramian_bounds(pair, j, grid) for j in 1..j_max], equal report for
+    report, from one pass: each chunk's order-j_max build supplies the
+    fibers of every lower order too (see _gramian_reports)."""
+    _check_gramian_order(j_max)
+    return _gramian_reports(pair, range(1, j_max + 1), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +372,7 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     iterations and flagged.
     """
     _check_gramian_order(j_max)
-    reports = [gramian_bounds(pair, j, grid) for j in range(1, j_max + 1)]
+    reports = gramian_profile(pair, j_max, grid)
     a_star = min(r.lower for r in reports)
     b_star = max(r.upper for r in reports)
     rng = np.random.default_rng(seed)

@@ -50,7 +50,7 @@ def gramian_dense(pair: FilterPair, j: int, xi: float) -> np.ndarray:
 def gramian_bounds_full_grid(pair: FilterPair, j: int, grid: Grid) -> tuple[float, float]:
     """(A_j, B_j) as the min of sigma_min^2 and the max of sigma_max^2 over
     the SVDs of all N grid fibers, with no use of mirror symmetry."""
-    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points), compute_uv=False)
+    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points)[-1], compute_uv=False)
     return float(np.min(sv[:, -1]) ** 2), float(np.max(sv[:, 0]) ** 2)
 
 

@@ -152,7 +152,7 @@ def test_criterion_6_factorization_oracle():
             for xi in rng.uniform(0, 1, size=16):
                 sv_dense = np.linalg.svd(gramian_dense(pair, j, float(xi)),
                                          compute_uv=False)
-                sv_fact = np.linalg.svd(gramian_fibers(pair, j, np.array([xi]))[0],
+                sv_fact = np.linalg.svd(gramian_fibers(pair, j, np.array([xi]))[-1][0],
                                         compute_uv=False)
                 ok &= float(np.max(np.abs(sv_dense - sv_fact))) < 1e-10
     report(6, "dense pre-Gramian matches factored fibers within 1e-10", ok)

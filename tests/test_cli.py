@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import fbstab.cli
+import fbstab.stability
 from fbstab.cli import main
 from fbstab.seqcore import GRID_CAP
 from fbstab.stability import GRAMIAN_J_CAP
@@ -106,8 +107,9 @@ def test_certify_rejects_order_above_cap_before_work(monkeypatch, capsys):
     def no_work(*args):
         raise AssertionError("certificate work started")
 
-    for name in ("bessel_certificate", "expand_certificate", "gramian_bounds"):
+    for name in ("bessel_certificate", "expand_certificate", "gramian_profile"):
         monkeypatch.setattr(fbstab.cli, name, no_work)
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", no_work)
     assert main(["certify", "--family", "burt-adelson", "--a", "0.7",
                  "--order", str(GRAMIAN_J_CAP + 1)]) == 1
     assert capsys.readouterr().out == ""
@@ -290,6 +292,35 @@ def test_profile_sine_product_rejects_bad_order(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+def test_profile_sine_product_rejects_filter_options(capsys):
+    base = ["profile", "--which", "sine-product", "--order", "2", "--grid", "4"]
+    for extra in (["--family", "burt-adelson", "--a", "0.7"], ["--a", "nan"],
+                  ["--filter", "nosuch.json"], ["--highpass", "orthogonal"],
+                  ["--family", "burt-adelson", "--a", "nan", "--filter",
+                   "nosuch.json", "--highpass", "nosuch.json"]):
+        assert main(base + extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    assert main(base) == 0
+
+
+def test_certify_builds_each_gramian_chunk_once(monkeypatch, tmp_path):
+    build = fbstab.stability.gramian_fibers
+    orders = []
+
+    def counting_build(pair, j, xi):
+        orders.append(j)
+        return build(pair, j, xi)
+
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", counting_build)
+    # j = 6 solves m = 0..1024 in two chunks of 1024 fibers
+    assert main(["certify", "--family", "burt-adelson", "--a", "0.7",
+                 "--grid", "2048", "--order", "6",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert orders == [6, 6]
 
 
 def test_grid_above_cap_rejected_before_work(monkeypatch, capsys):

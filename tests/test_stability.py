@@ -36,6 +36,7 @@ from fbstab.stability import (
     expand_certificate,
     gramian_bounds,
     gramian_fibers,
+    gramian_profile,
     mstar_m_eigenfunctions,
     span_certificate,
     std_expand_profile,
@@ -261,7 +262,7 @@ def test_gramian_haar_tight():
 def test_gramian_haar_fibers_unitary():
     pair = haar_pair()
     for j in range(1, 7):
-        X = gramian_fibers(pair, j, GRID.points[:: max(1, 4096 >> (12 - j))])
+        X = gramian_fibers(pair, j, GRID.points[:: max(1, 4096 >> (12 - j))])[-1]
         eye = np.eye(1 << j)
         prod = np.conj(np.swapaxes(X, -1, -2)) @ X
         assert float(np.max(np.abs(prod - eye))) < 1e-10
@@ -273,7 +274,7 @@ def test_gramian_dense_oracle_matches_fibers():
             for xi in RNG.uniform(0, 1, size=16):
                 dense = gramian_dense(pair, j, float(xi))
                 sv_dense = np.linalg.svd(dense, compute_uv=False)
-                X = gramian_fibers(pair, j, np.array([xi]))[0]
+                X = gramian_fibers(pair, j, np.array([xi]))[-1][0]
                 sv_fact = np.linalg.svd(X, compute_uv=False)
                 assert np.max(np.abs(sv_dense - sv_fact)) < 1e-10
 
@@ -308,8 +309,10 @@ def _level_product_fibers(pair, j, xi):
                          ids=["haar", "ba-0.7", "ba-0.4871", "ho-1.085", "ho-0.3"])
 def test_gramian_fibers_match_level_product_oracle(pair):
     xi = np.random.default_rng(11).uniform(0, 1, size=16)
-    for j in range(1, 9):
-        diff = np.abs(gramian_fibers(pair, j, xi) - _level_product_fibers(pair, j, xi))
+    fibers = gramian_fibers(pair, 8, xi)
+    assert len(fibers) == 8
+    for j, X in enumerate(fibers, 1):
+        diff = np.abs(X - _level_product_fibers(pair, j, xi))
         assert float(np.max(diff)) < 1e-13
 
 
@@ -321,7 +324,7 @@ def _with_highpass(pair, taps):
 def _mirror_gap(pair, j, grid):
     """Largest difference of the fiber singular values at m/N and (N-m)/N,
     relative to the largest singular value on the grid."""
-    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points), compute_uv=False)
+    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points)[-1], compute_uv=False)
     mirror = sv[-np.arange(grid.size) % grid.size]
     return float(np.max(np.abs(sv - mirror)) / np.max(sv))
 
@@ -382,6 +385,20 @@ def test_gramian_bounds_with_one_fiber_in_last_chunk(monkeypatch):
     _assert_same_for_every_worker_count(ba_pair(0.7), 6, Grid(2048), monkeypatch)
 
 
+@pytest.mark.parametrize("pair", [ba_pair(0.7), ho_pair(1.0),
+                                  _with_highpass(ba_pair(0.7), [1.0, 0.3j])],
+                         ids=["ba-0.7", "ho-1.0", "ba-0.7-complex"])
+@pytest.mark.parametrize("size", [63, 64, 2048])
+def test_gramian_profile_equals_bounds_of_each_order(pair, size, monkeypatch):
+    # at J = 6 a 2048-point grid takes two chunks of 1024 fibers
+    grid = Grid(size)
+    expected = [gramian_bounds(pair, j, grid) for j in range(1, 7)]
+    monkeypatch.setattr(fbstab.stability, "SVD_PART_WORK", 1)
+    for workers in (1, 2, 3, 7):
+        monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", workers)
+        assert gramian_profile(pair, 6, grid) == expected
+
+
 def test_gramian_small_batches_stay_on_calling_thread(monkeypatch):
     solve = fbstab.stability._sv_extremes
     threads = []
@@ -410,7 +427,7 @@ def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
     def traced_build(*args):
         X = build(*args)
         held, build_peak = tracemalloc.get_traced_memory()
-        builds.append((held, build_peak, X.nbytes))
+        builds.append((held, build_peak, X[-1].nbytes))
         tracemalloc.reset_peak()
         return X
 
@@ -429,6 +446,25 @@ def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
     # Once the one 64 MB chunk exists, the SVD of its leading half adds
     # nothing of that order; a masked (copying) input adds 32 MB.
     assert solve_peak - held <= 0.1 * nbytes
+
+
+@pytest.mark.parametrize("solve", [gramian_bounds, gramian_profile],
+                         ids=["bounds", "profile"])
+def test_gramian_memory_stays_at_one_chunk_over_several_chunks(solve):
+    # j = 6 solves m = 0..2048 of a 4096-point grid in three chunks of 1024;
+    # each chunk must be released before the next one is built
+    pair = ba_pair(0.7)
+    grid = Grid(4096)
+    tracemalloc.start()
+    try:
+        gramian_fibers(pair, 6, grid.points[:1024])
+        _, chunk_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solve(pair, 6, grid)
+        _, solve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solve_peak <= 1.1 * chunk_peak
 
 
 def test_gramian_dense_haar_orthonormal_columns():
@@ -493,7 +529,8 @@ def test_bound_transfer_rejects_orders_outside_cap_before_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("a Gramian order was built")
 
-    monkeypatch.setattr(fbstab.stability, "gramian_bounds", no_work)
+    monkeypatch.setattr(fbstab.stability, "gramian_profile", no_work)
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", no_work)
     for j_max in (0, -1, fbstab.stability.GRAMIAN_J_CAP + 1):
         with pytest.raises(ValueError, match="gramian order must be in"):
             bound_transfer_check(haar_pair(), j_max, GRID)
