@@ -210,6 +210,9 @@ def cmd_profile(args) -> int:
         header = "xi,product,bound"
         cols = (grid.points, mod, bound)
     else:
+        if args.which == "std-expand" and args.highpass is not None:
+            raise ValueError("--which std-expand takes no --highpass: its "
+                             "profile uses the orthogonal high-pass of h")
         h, _ = _load_lowpass(args)
         if args.which == "std-expand":
             header = "xi,std_expand"

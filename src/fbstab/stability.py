@@ -259,23 +259,31 @@ def _sv_extremes(X: np.ndarray) -> tuple[float, float]:
     return float(np.min(sv[:, -1])), float(np.max(sv[:, 0]))
 
 
-def _split_sv_extremes(pool, X: np.ndarray) -> tuple[float, float]:
-    """_sv_extremes of X, split into one contiguous view per worker on the
-    pool when each view gets at least SVD_PART_WORK (fibers x 8^j)."""
-    workers = min(SVD_WORKERS, len(X) * X.shape[-1] ** 3 // SVD_PART_WORK)
-    if workers <= 1:
-        return _sv_extremes(X)
-    parts = [part for part in np.array_split(X, workers) if len(part)]
-    extremes = list(pool.map(_sv_extremes, parts))
-    return min(lo for lo, _ in extremes), max(hi for _, hi in extremes)
+def _part_extremes(pair: FilterPair, orders: range, xi: np.ndarray,
+                   count: int | None = None) -> list[tuple[float, float]]:
+    """_sv_extremes of the first `count` fibers at xi (all by default), for
+    each order, from one build; the build is released when this returns."""
+    fibers = gramian_fibers(pair, orders[-1], xi)
+    return [_sv_extremes(fibers[j - 1][:count]) for j in orders]
 
 
 def _chunk_extremes(pool, pair: FilterPair, orders: range, xi: np.ndarray,
                     count: int) -> list[tuple[float, float]]:
-    """_sv_extremes of the first `count` fibers at xi, for each order, from
-    one build; the build is released when this returns."""
-    fibers = gramian_fibers(pair, orders[-1], xi)
-    return [_split_sv_extremes(pool, fibers[j - 1][:count]) for j in orders]
+    """_part_extremes of the first `count` points of the chunk xi.
+
+    A chunk with at least SVD_PART_WORK (fibers x 8^J) per worker has its
+    solved points split into one contiguous part per worker, and each part
+    is built and solved on the pool; a smaller chunk is built whole and
+    solved on the calling thread.  The split is decided from the whole
+    chunk, not the solved count, so a last chunk that solves a few points
+    builds just those on the pool instead of all of it here."""
+    workers = min(SVD_WORKERS, len(xi) * 8 ** orders[-1] // SVD_PART_WORK)
+    if workers <= 1:
+        return _part_extremes(pair, orders, xi, count)
+    parts = [part for part in np.array_split(xi[:count], workers) if len(part)]
+    per_part = pool.map(lambda part: _part_extremes(pair, orders, part), parts)
+    return [(min(lo for lo, _ in ext), max(hi for _, hi in ext))
+            for ext in zip(*per_part)]
 
 
 def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[GramianReport]:
@@ -285,15 +293,17 @@ def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[Gramia
     (N - m)/N is the complex conjugate of the fiber at m/N up to row and
     column permutations and has the same singular values; only the points
     m = 0..N//2 are then solved.  A pair with complex taps keeps all N.
-    Fibers are built a whole chunk at a time on the calling thread, up to
-    the highest order, and every requested order is solved from that build
-    before the next chunk is built.  Each solve is split into one
-    contiguous view per usable CPU (SVD_WORKERS, from the process's CPU
-    affinity; there is no knob), and the views' SVDs run on a thread pool,
-    since LAPACK releases the GIL.  A solve with less than SVD_PART_WORK of
-    work per view runs on the calling thread instead.  Each fiber's SVD
-    does not depend on the batch it sits in, so the bounds are
-    bit-identical for every split and every chunk size.
+    The grid is walked a chunk at a time, and every requested order is
+    solved from one build of the chunk's fibers, up to the highest order,
+    before the next chunk is built.  A chunk with at least SVD_PART_WORK
+    (fibers x 8^J) of work per usable CPU (SVD_WORKERS, from the process's
+    CPU affinity; there is no knob) has only its solved points built: they
+    are split into one contiguous part per CPU, and each part is built and
+    solved on a thread pool, since numpy and LAPACK release the GIL for
+    most of that work.  A smaller chunk is built whole and solved on the
+    calling thread.  Each fiber's build and SVD do not depend on the batch
+    it sits in, so the bounds are bit-identical for every split and every
+    chunk size.
     """
     from concurrent.futures import ThreadPoolExecutor
 

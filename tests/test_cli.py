@@ -307,20 +307,35 @@ def test_profile_sine_product_rejects_filter_options(capsys):
     assert main(base) == 0
 
 
-def test_certify_builds_each_gramian_chunk_once(monkeypatch, tmp_path):
-    build = fbstab.stability.gramian_fibers
-    orders = []
+def test_profile_std_expand_rejects_highpass(capsys):
+    base = ["profile", "--which", "std-expand", "--family", "burt-adelson",
+            "--a", "0.7", "--grid", "4"]
+    for highpass in ("nosuch.json", "orthogonal"):
+        assert main(base + ["--highpass", highpass]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+    assert main(base) == 0
 
-    def counting_build(pair, j, xi):
+
+def test_certify_builds_each_solved_gramian_point_once(monkeypatch, tmp_path):
+    build = fbstab.stability.gramian_fibers
+    orders, built = [], []
+
+    def recording_build(pair, j, xi):
         orders.append(j)
+        built.append(xi.copy())
         return build(pair, j, xi)
 
-    monkeypatch.setattr(fbstab.stability, "gramian_fibers", counting_build)
-    # j = 6 solves m = 0..1024 in two chunks of 1024 fibers
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", recording_build)
+    # j = 6 solves m = 0..1024 of the grid, in chunks of 1024 points
     assert main(["certify", "--family", "burt-adelson", "--a", "0.7",
                  "--grid", "2048", "--order", "6",
                  "--out", str(tmp_path / "r.json")]) == 0
-    assert orders == [6, 6]
+    assert orders and set(orders) == {6}
+    built = np.concatenate(built)
+    assert len(np.unique(built)) == len(built)
+    assert np.isin(np.arange(1025) / 2048, built).all()
 
 
 def test_grid_above_cap_rejected_before_work(monkeypatch, capsys):

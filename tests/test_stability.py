@@ -418,34 +418,76 @@ def test_gramian_small_batches_stay_on_calling_thread(monkeypatch):
     assert len(threads) == 2 and threading.get_ident() not in threads
 
 
+def test_gramian_split_chunks_build_only_solved_points(monkeypatch):
+    build = fbstab.stability.gramian_fibers
+    built = []
+
+    def recording_build(pair, j, xi):
+        built.append((threading.get_ident(), len(xi)))
+        return build(pair, j, xi)
+
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", recording_build)
+    monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 2)
+    # one chunk of 4096 fibers of 16 x 16, two workers' worth of work
+    for pair, solved in ((ba_pair(0.7), 2049),
+                         (_with_highpass(ba_pair(0.7), [1.0, 0.3j]), 4096)):
+        built.clear()
+        gramian_bounds(pair, 4, Grid(4096))
+        assert sum(n for _, n in built) == solved
+        assert threading.get_ident() not in {t for t, _ in built}
+
+
+def test_gramian_split_chunk_peak_is_below_one_whole_build(monkeypatch):
+    monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 2)
+    pair = ba_pair(0.7)
+    grid = Grid(8192)
+    tracemalloc.start()
+    try:
+        gramian_fibers(pair, 4, grid.points)
+        _, whole_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gramian_bounds(pair, 4, grid)
+        _, solve_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two concurrent builds of 2049 points each, against one of 8192
+    assert solve_peak <= 0.6 * whole_peak
+
+
 def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
     pair = ba_pair(0.7)
     grid = Grid(1024)
     build = fbstab.stability.gramian_fibers
+    lock = threading.Lock()
     builds = []
 
     def traced_build(*args):
         X = build(*args)
-        held, build_peak = tracemalloc.get_traced_memory()
-        builds.append((held, build_peak, X[-1].nbytes))
-        tracemalloc.reset_peak()
+        with lock:
+            held, build_peak = tracemalloc.get_traced_memory()
+            builds.append((held, build_peak, X[-1].nbytes))
+            tracemalloc.reset_peak()
         return X
 
     monkeypatch.setattr(fbstab.stability, "gramian_fibers", traced_build)
     tracemalloc.start()
     try:
-        build(pair, 6, grid.points)
+        whole = build(pair, 6, grid.points)[-1].nbytes
         _, fibers_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         gramian_bounds(pair, 6, grid)
         _, solve_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    ((held, build_peak, nbytes),) = builds
-    assert max(build_peak, solve_peak) <= 1.1 * fibers_peak
-    # Once the one 64 MB chunk exists, the SVD of its leading half adds
-    # nothing of that order; a masked (copying) input adds 32 MB.
-    assert solve_peak - held <= 0.1 * nbytes
+    assert max(build_peak for _, build_peak, _ in builds) <= 1.1 * fibers_peak
+    assert solve_peak <= 1.1 * fibers_peak
+    # The builds together hold at most the one 64 MB chunk, and once the
+    # last of them exists the SVDs add nothing of that order; a masked
+    # (copying) input adds 32 MB.
+    built = sum(nbytes for _, _, nbytes in builds)
+    assert built <= whole
+    held_after_last_build = builds[-1][0]
+    assert solve_peak - held_after_last_build <= 0.1 * built
 
 
 @pytest.mark.parametrize("solve", [gramian_bounds, gramian_profile],
