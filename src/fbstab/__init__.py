@@ -6,7 +6,6 @@ from .seqcore import (
     Grid,
     convolve,
     delta,
-    downsample,
     dtft_at,
     inner,
     involute,

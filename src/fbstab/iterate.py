@@ -12,13 +12,7 @@ from itertools import islice
 import numpy as np
 
 from .filters import FilterError, FilterPair, check_lowpass
-from .seqcore import (
-    FiniteSeq,
-    convolve,
-    downsample,
-    involute,
-    norm_sq,
-)
+from .seqcore import FiniteSeq, _energy, _trim, involute, norm_sq
 
 J_MAX = 20
 
@@ -51,24 +45,58 @@ class AnalysisOutput:
         }
 
 
-def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteSeq]]:
-    """Yield (channel, low) for levels 1, 2, ... of the two-channel cascade:
-    channel = D(low * involute(g)) and the next low = D(low * involute(h)).
-    The generator is unbounded; callers stop it."""
+# one cascade level on bare arrays: (offset, coeffs), trimmed as FiniteSeq trims
+_Level = tuple[int, np.ndarray]
+
+
+def _filter_down(level: _Level, f: FiniteSeq) -> _Level:
+    """D(level * f) on a bare (offset, coeffs) level: the convolution's values
+    at even indices, edge-trimmed by FiniteSeq's rule.  An empty level or a
+    zero filter gives the empty level."""
+    offset, c = level
+    if c.size == 0 or f.is_zero:
+        return 0, c[:0]
+    offset += f.offset
+    start = offset % 2
+    return _trim((offset + start) // 2, np.convolve(c, f.coeffs)[start::2])
+
+
+def _cascade_arrays(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[_Level, _Level]]:
+    """The cascade's (channel, low) levels as bare (offset, coeffs) pairs.
+
+    Trimming once per level, after the downsampling, drops the same edge
+    values as FiniteSeq's trims after both the convolution and the
+    downsampling, so each level equals the FiniteSeq operators' bit for bit.
+    """
     hb = involute(pair.h)
     gb = involute(pair.g)
-    low = x
+    low = (x.offset, x.coeffs)
     while True:
-        channel = downsample(convolve(low, gb), 1)
-        low = downsample(convolve(low, hb), 1)
+        channel = _filter_down(low, gb)
+        low = _filter_down(low, hb)
         yield channel, low
 
 
-def _levels(pair: FilterPair, x: FiniteSeq, j: int) -> list[tuple[FiniteSeq, FiniteSeq]]:
-    """The first j levels of the cascade, j >= 1."""
+def _cascade_energies(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[float, float]]:
+    """(||channel||^2, ||low||^2) for levels 1, 2, ... of the cascade, unbounded."""
+    for (_, channel), (_, low) in _cascade_arrays(pair, x):
+        yield _energy(channel), _energy(low)
+
+
+def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteSeq]]:
+    """Yield (channel, low) for levels 1, 2, ... of the two-channel cascade:
+    channel = D(low * involute(g)) and the next low = D(low * involute(h)).
+    The generator is unbounded; callers stop it.
+
+    The levels are computed on bare arrays (see _cascade_arrays); each is
+    wrapped in a FiniteSeq only here, as it is handed out."""
+    for (c_off, c), (l_off, low) in _cascade_arrays(pair, x):
+        yield FiniteSeq(c_off, c), FiniteSeq(l_off, low)
+
+
+def _check_order(j: int) -> None:
     if j < 1:
         raise ValueError(f"iteration order must be >= 1, got {j}")
-    return list(islice(cascade(pair, x), j))
 
 
 def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
@@ -79,23 +107,26 @@ def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
     level), which agrees with the iterated-filter formulas through the
     noble identity.
     """
+    _check_order(j)
     if j > J_MAX:
         raise ValueError(f"iteration order {j} exceeds the cap {J_MAX}")
-    levels = _levels(pair, x, j)
+    levels = list(islice(cascade(pair, x), j))
     return AnalysisOutput(j, [c for c, _ in levels], levels[-1][1])
 
 
 def energy_profile(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Per-channel energies [||(Fx)_1||^2, ..., ||(Fx)_j_max||^2, residual]
     of the first j_max cascade levels."""
-    levels = _levels(pair, x, j_max)
-    return [norm_sq(c) for c, _ in levels] + [norm_sq(levels[-1][1])]
+    _check_order(j_max)
+    levels = list(islice(_cascade_energies(pair, x), j_max))
+    return [c for c, _ in levels] + [levels[-1][1]]
 
 
 def lowpass_residual_norms(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Norms ||(F_j x)_(j+1)|| of the cascade's low-pass residual for
     j = 1..j_max.  Supports stay bounded, so large j is cheap."""
-    return [math.sqrt(norm_sq(low)) for _, low in _levels(pair, x, j_max)]
+    _check_order(j_max)
+    return [math.sqrt(low) for _, low in islice(_cascade_energies(pair, x), j_max)]
 
 
 def transfer_matrix(h: FiniteSeq, L: int) -> np.ndarray:

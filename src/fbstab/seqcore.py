@@ -2,7 +2,10 @@
 
 The carrier type is :class:`FiniteSeq`, a trimmed (offset, coefficients)
 pair.  All operators are pure functions; sequences are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads.  The edge trim (`_trim`)
+and the energy sum (`_energy`) are also applied to bare (offset, coeffs)
+arrays by the analysis cascade, which builds a `FiniteSeq` only for the
+levels it hands out, so both paths give the same bits.
 """
 
 from __future__ import annotations
@@ -16,6 +19,25 @@ EQ_TOL = 1e-12
 # Largest grid: DTFTs build an N x taps phase matrix, so N = 10**8 with five
 # taps would allocate 8 GB before any check ran.
 GRID_CAP = 1 << 22
+
+
+def _trim(offset: int, c: np.ndarray) -> tuple[int, np.ndarray]:
+    """(offset, c) with the leading and trailing values of magnitude at most
+    TRIM_TOL dropped, as a view of c; NaN is kept.  An array with nothing
+    left comes back as (0, empty)."""
+    # `not <=` rather than `>`, so NaN coefficients are kept, never trimmed
+    keep = ~(np.abs(c) <= TRIM_TOL)
+    if c.size and keep[0] and keep[-1]:  # nothing to drop: skip the index search
+        return offset, c
+    nz = keep.nonzero()[0]
+    if nz.size == 0:
+        return 0, c[:0]
+    return offset + int(nz[0]), c[nz[0]:nz[-1] + 1]
+
+
+def _energy(c: np.ndarray) -> float:
+    """sum |c|^2, the squared l2 norm of a coefficient array."""
+    return float((np.abs(c) ** 2).sum())
 
 
 @dataclass(frozen=True)
@@ -34,15 +56,9 @@ class FiniteSeq:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        # `not <=` rather than `>`, so NaN coefficients are kept, never trimmed
-        nz = np.flatnonzero(~(np.abs(c) <= TRIM_TOL))
-        if nz.size == 0:
-            object.__setattr__(self, "offset", 0)
-            object.__setattr__(self, "coeffs", np.zeros(0, dtype=complex))
-        else:
-            lo, hi = nz[0], nz[-1]
-            object.__setattr__(self, "offset", int(self.offset) + int(lo))
-            object.__setattr__(self, "coeffs", c[lo:hi + 1].copy())
+        offset, c = _trim(int(self.offset), c)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "coeffs", c.copy())
         self.coeffs.setflags(write=False)
 
     @property
@@ -175,22 +191,6 @@ def translate(x: FiniteSeq, k: int) -> FiniteSeq:
     return FiniteSeq(x.offset + k, x.coeffs)
 
 
-def downsample(x: FiniteSeq, j: int) -> FiniteSeq:
-    """Keep indices divisible by 2^j: result(n) = x(2^j n)."""
-    if j < 1:
-        raise ValueError(f"downsampling order must be >= 1, got {j}")
-    if x.is_zero:
-        return x
-    step = 1 << j
-    lo, hi = x.support
-    n_lo = -((-lo) // step)  # ceil(lo / step)
-    n_hi = hi // step
-    if n_lo > n_hi:
-        return zero_seq()
-    idx = np.arange(n_lo, n_hi + 1) * step - x.offset
-    return FiniteSeq(n_lo, x.coeffs[idx])
-
-
 def upsample(x: FiniteSeq, j: int) -> FiniteSeq:
     """Insert 2^j - 1 zeros between samples: result(2^j m) = x(m)."""
     if j < 1:
@@ -204,9 +204,7 @@ def upsample(x: FiniteSeq, j: int) -> FiniteSeq:
 
 
 def norm_sq(x: FiniteSeq) -> float:
-    if x.is_zero:
-        return 0.0
-    return float(np.sum(np.abs(x.coeffs) ** 2))
+    return _energy(x.coeffs)
 
 
 def inner(x: FiniteSeq, y: FiniteSeq) -> complex:

@@ -18,7 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .filters import FactoredLowpass, FilterPair
-from .iterate import J_MAX, cascade, lowpass_residual_norms
+from .iterate import J_MAX, _cascade_energies, lowpass_residual_norms
 from .seqcore import (
     FiniteSeq,
     Grid,
@@ -375,13 +375,18 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     must land inside the transferred finite-order envelope
     [min{A*, A*/B*} - tol, max{B*, B*/A*} + tol] with A* = min_j A_j,
     B* = max_j B_j and tol = TOL_TRANSFER.  j_max must lie in
-    1..GRAMIAN_J_CAP; it is checked before any work.
+    1..GRAMIAN_J_CAP, n_signals must be >= 1 and seed >= 0; all three are
+    checked before any work.
 
     Channel sums are truncated once the cumulative residual energy falls
     below 1e-8; for banks where it never does, the depth is capped at 16
     iterations and flagged.
     """
     _check_gramian_order(j_max)
+    if n_signals < 1:
+        raise ValueError(f"n_signals must be >= 1, got {n_signals}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     reports = gramian_profile(pair, j_max, grid)
     a_star = min(r.lower for r in reports)
     b_star = max(r.upper for r in reports)
@@ -399,9 +404,8 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
         coeffs = rng.standard_normal(8)
         x = FiniteSeq(0, coeffs / np.linalg.norm(coeffs))
         energies = []
-        for channel, low in islice(cascade(pair, x), 16):
-            energies.append(norm_sq(channel))
-            residual = norm_sq(low)
+        for energy, residual in islice(_cascade_energies(pair, x), 16):
+            energies.append(energy)
             if residual < 1e-8:
                 break
         else:

@@ -2,16 +2,71 @@
 
 None of these is used by the package: the dense pre-Gramian and the
 time-domain iterated filters cross-check the factored Gramian fibers and
-the analysis cascade, the full-grid bounds check the half-grid solve of
-real pairs, and the annulus and sine-product checks verify the
+the analysis cascade, the FiniteSeq cascade checks the package's
+array cascade bit for bit, the full-grid bounds check the half-grid
+solve of real pairs, and the annulus and sine-product checks verify the
 estimates the stability proofs rest on.
 """
+
+import math
 
 import numpy as np
 
 from fbstab.filters import FilterPair
-from fbstab.seqcore import FiniteSeq, Grid, convolve, dtft_at, translate, upsample
+from fbstab.seqcore import (
+    FiniteSeq,
+    Grid,
+    convolve,
+    dtft_at,
+    involute,
+    norm_sq,
+    translate,
+    upsample,
+    zero_seq,
+)
 from fbstab.stability import gramian_fibers, sine_product_values
+
+
+def downsample(x: FiniteSeq, j: int) -> FiniteSeq:
+    """Keep indices divisible by 2^j: result(n) = x(2^j n)."""
+    if j < 1:
+        raise ValueError(f"downsampling order must be >= 1, got {j}")
+    if x.is_zero:
+        return x
+    step = 1 << j
+    lo, hi = x.support
+    n_lo = -((-lo) // step)  # ceil(lo / step)
+    n_hi = hi // step
+    if n_lo > n_hi:
+        return zero_seq()
+    idx = np.arange(n_lo, n_hi + 1) * step - x.offset
+    return FiniteSeq(n_lo, x.coeffs[idx])
+
+
+def cascade_levels(pair: FilterPair, x: FiniteSeq, j: int) -> list[tuple[FiniteSeq, FiniteSeq]]:
+    """The first j (channel, low) levels of the two-channel cascade, by the
+    FiniteSeq operators: channel = D(low * involute(g)) and the next
+    low = D(low * involute(h)), each result trimmed on construction."""
+    hb = involute(pair.h)
+    gb = involute(pair.g)
+    low = x
+    levels = []
+    for _ in range(j):
+        channel = downsample(convolve(low, gb), 1)
+        low = downsample(convolve(low, hb), 1)
+        levels.append((channel, low))
+    return levels
+
+
+def cascade_energies(pair: FilterPair, x: FiniteSeq, j: int) -> list[float]:
+    """[||channel_1||^2, ..., ||channel_j||^2, ||low_j||^2] of cascade_levels."""
+    levels = cascade_levels(pair, x, j)
+    return [norm_sq(c) for c, _ in levels] + [norm_sq(levels[-1][1])]
+
+
+def cascade_residual_norms(pair: FilterPair, x: FiniteSeq, j: int) -> list[float]:
+    """[||low_1||, ..., ||low_j||] of cascade_levels."""
+    return [math.sqrt(norm_sq(low)) for _, low in cascade_levels(pair, x, j)]
 
 
 def iterate_filters(pair: FilterPair, j: int) -> tuple[list[FiniteSeq], list[FiniteSeq]]:

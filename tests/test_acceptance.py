@@ -27,7 +27,6 @@ from fbstab.seqcore import (
     Grid,
     convolve,
     delta,
-    downsample,
     dtft_at,
     inner,
     norm_sq,
@@ -44,7 +43,12 @@ from fbstab.stability import (
     std_expand_profile,
 )
 
-from oracles import downsample_annulus_check, gramian_dense, sine_product_check
+from oracles import (
+    downsample,
+    downsample_annulus_check,
+    gramian_dense,
+    sine_product_check,
+)
 
 INV_SQRT2 = 1 / math.sqrt(2)
 HAAR = seq(0, [INV_SQRT2, INV_SQRT2])

@@ -1,11 +1,15 @@
 """Tests for iterated filters, the cascade analysis operator, and the
 low-pass transfer operator."""
 
+import json
 import math
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbstab.filters import (
     FilterError,
@@ -25,7 +29,9 @@ from fbstab.iterate import (
     transfer_matrix,
 )
 from fbstab.seqcore import (
+    FiniteSeq,
     Grid,
+    convolve,
     dtft_at,
     inner,
     norm_sq,
@@ -35,7 +41,13 @@ from fbstab.seqcore import (
     zero_seq,
 )
 
-from oracles import iterate_filters
+from oracles import (
+    cascade_energies,
+    cascade_levels,
+    cascade_residual_norms,
+    downsample,
+    iterate_filters,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -144,7 +156,6 @@ def test_residual_norms_order_validation():
 def test_transfer_matrix_matches_operator():
     # entries h(2k - m) applied to a coefficient vector must equal the
     # direct computation D(x * h)
-    from fbstab.seqcore import convolve, downsample
     for h in (HAAR, TENT, burt_adelson(0.6)):
         L = 6
         tm = transfer_matrix(h, L)
@@ -246,3 +257,84 @@ def test_residual_geometric_decay():
         # averaged rate over the tail (single steps carry transients)
         rate = (norms[39] / norms[10]) ** (1.0 / 29.0)
         assert rate <= INV_SQRT2 + 1e-3
+
+
+# ---------------------------------------------------------------------------
+# The array cascade against the FiniteSeq reference, bit for bit
+
+
+def _assert_matches_reference(pair, x, depth):
+    def same(a, b):
+        return (a.offset == b.offset and a.coeffs.dtype == b.coeffs.dtype
+                and a.coeffs.tobytes() == b.coeffs.tobytes())
+
+    levels = list(islice(cascade(pair, x), depth))
+    for (c, low), (ref_c, ref_low) in zip(levels, cascade_levels(pair, x, depth), strict=True):
+        assert same(c, ref_c) and same(low, ref_low)
+    assert energy_profile(pair, x, depth) == cascade_energies(pair, x, depth)
+    assert lowpass_residual_norms(pair, x, depth) == cascade_residual_norms(pair, x, depth)
+
+
+def _complex_highpass_pair():
+    path = Path(__file__).parent / "golden" / "highpass-ba-0.7-complex.json"
+    return FilterPair(burt_adelson(0.7), FiniteSeq.from_json_obj(json.loads(path.read_text())))
+
+
+def _transfer_probe(seed, n_signals=64):
+    """The residual probe bound_transfer_check draws after its signals."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_signals):
+        rng.standard_normal(8)
+    return FiniteSeq(0, rng.standard_normal(8))
+
+
+_X_ODD = seq(-3, np.random.default_rng(3).standard_normal(12))
+_X_COMPLEX = seq(-5, np.random.default_rng(4).standard_normal(9)
+                 + 1j * np.random.default_rng(5).standard_normal(9))
+
+
+@pytest.mark.parametrize("pair, x", [
+    (haar_pair(), _X_ODD),
+    (ba_pair(0.7), _X_ODD),
+    (FilterPair(assemble(higher_order(1.0)), orthogonal_highpass(assemble(higher_order(1.0)))),
+     _X_ODD),
+    (_complex_highpass_pair(), _X_COMPLEX),
+    (FilterPair(HAAR, zero_seq()), _X_ODD),
+    (haar_pair(), zero_seq()),
+    # its level-15 residual has a 4.7e-15 edge value that the trim drops
+    (ba_pair(0.6381), _transfer_probe(34979)),
+], ids=["haar", "ba-0.7", "ho-1.0", "complex-highpass", "zero-highpass",
+        "zero-signal", "ba-0.6381-probe-34979"])
+def test_cascade_matches_finiteseq_reference(pair, x):
+    _assert_matches_reference(pair, x, 16)
+
+
+_TAP = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, 3e-15, -8e-15]))
+
+
+@st.composite
+def _pairs_and_signals(draw):
+    """A low-pass (1, 1)/sqrt(2) * p and a high-pass (1, -1) * q with p and q
+    of 1..5 taps, so each filter has up to 6 taps, at offsets -4..4, and a
+    signal of 1..10 taps; all real or all complex.  Taps near TRIM_TOL make
+    the trims (and zero filters and signals) come up."""
+    complex_valued = draw(st.booleans())
+
+    def taps(n_max):
+        n = draw(st.integers(1, n_max))
+        c = np.array(draw(st.lists(_TAP, min_size=n, max_size=n)), dtype=complex)
+        if complex_valued:
+            c += 1j * np.array(draw(st.lists(_TAP, min_size=n, max_size=n)))
+        return seq(draw(st.integers(-4, 4)), c)
+
+    p = taps(5)
+    assume(abs(np.sum(p.coeffs)) > 0.25)
+    h = convolve(seq(0, [INV_SQRT2, INV_SQRT2]), seq(p.offset, p.coeffs / np.sum(p.coeffs)))
+    g = convolve(seq(0, [1.0, -1.0]), taps(5))
+    return FilterPair(h, g), taps(10)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_pairs_and_signals())
+def test_cascade_matches_finiteseq_reference_on_random_pairs(case):
+    _assert_matches_reference(*case, 12)

@@ -11,7 +11,6 @@ from fbstab.seqcore import (
     Grid,
     convolve,
     delta,
-    downsample,
     dtft_at,
     dtft_grid,
     inner,
@@ -23,6 +22,8 @@ from fbstab.seqcore import (
     upsample,
     zero_seq,
 )
+
+from oracles import downsample
 
 RNG = np.random.default_rng(2024)
 

@@ -42,9 +42,11 @@ from fbstab.stability import (
     std_expand_profile,
     trig_degree,
 )
-from fbstab.iterate import energy_profile, lowpass_residual_norms
+from fbstab.iterate import energy_profile
 
 from oracles import (
+    cascade_energies,
+    cascade_residual_norms,
     downsample_annulus_check,
     gramian_bounds_full_grid,
     gramian_dense,
@@ -578,10 +580,24 @@ def test_bound_transfer_rejects_orders_outside_cap_before_work(monkeypatch):
             bound_transfer_check(haar_pair(), j_max, GRID)
 
 
+def test_bound_transfer_rejects_bad_signal_arguments_before_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("a Gramian order was built")
+
+    monkeypatch.setattr(fbstab.stability, "gramian_profile", no_work)
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", no_work)
+    for n_signals, seed, message in ((0, 0, "n_signals must be >= 1"),
+                                     (-3, 0, "n_signals must be >= 1"),
+                                     (64, -1, "seed must be >= 0")):
+        with pytest.raises(ValueError, match=message):
+            bound_transfer_check(haar_pair(), 2, GRID, n_signals=n_signals, seed=seed)
+
+
 def _bound_transfer_oracle(pair, j_max, grid, n_signals, seed, tol=1e-6):
-    """bound_transfer_check rebuilt on the depth-restart loop: every depth
-    from 1 re-runs energy_profile until the residual energy drops below
-    1e-8.  Returns the report's JSON form and each signal's stop depth."""
+    """bound_transfer_check rebuilt on the depth-restart loop over the
+    FiniteSeq reference cascade: every depth from 1 re-runs
+    oracles.cascade_energies until the residual energy drops below 1e-8.
+    Returns the report's JSON form and each signal's stop depth."""
     reports = [gramian_bounds(pair, j, grid) for j in range(1, j_max + 1)]
     a_star = min(r.lower for r in reports)
     b_star = max(r.upper for r in reports)
@@ -594,7 +610,7 @@ def _bound_transfer_oracle(pair, j_max, grid, n_signals, seed, tol=1e-6):
         coeffs = rng.standard_normal(8)
         x = FiniteSeq(0, coeffs / np.linalg.norm(coeffs))
         for depth in range(1, 17):
-            profile = energy_profile(pair, x, depth)
+            profile = cascade_energies(pair, x, depth)
             if profile[-1] < 1e-8:
                 break
         else:
@@ -616,7 +632,7 @@ def _bound_transfer_oracle(pair, j_max, grid, n_signals, seed, tol=1e-6):
             f"order {r.order}: lower bound {r.lower:.6g} below "
             f"min(A, A/B) = {lo_bound:.6g} (seed {seed})"
             for r in reports if r.lower < lo_bound - tol]
-    decay = lowpass_residual_norms(pair, FiniteSeq(0, rng.standard_normal(8)), 16)
+    decay = cascade_residual_norms(pair, FiniteSeq(0, rng.standard_normal(8)), 16)
     if emp_lo > 0.0 and decay[-1] > max(1e-6, 0.5 * decay[0]):
         violations.append(
             f"residual norm not decaying: {decay[-1]:.3e} at depth 16 (seed {seed})")
