@@ -11,6 +11,7 @@ sampled estimates, with the grid size recorded so users can refine.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -375,18 +376,17 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     must land inside the transferred finite-order envelope
     [min{A*, A*/B*} - tol, max{B*, B*/A*} + tol] with A* = min_j A_j,
     B* = max_j B_j and tol = TOL_TRANSFER.  j_max must lie in
-    1..GRAMIAN_J_CAP, n_signals must be >= 1 and seed >= 0; all three are
-    checked before any work.
+    1..GRAMIAN_J_CAP, n_signals must be an integer >= 1 and seed an
+    integer >= 0; all three are checked before any work.
 
     Channel sums are truncated once the cumulative residual energy falls
     below 1e-8; for banks where it never does, the depth is capped at 16
     iterations and flagged.
     """
     _check_gramian_order(j_max)
-    if n_signals < 1:
-        raise ValueError(f"n_signals must be >= 1, got {n_signals}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value, least in (("n_signals", n_signals, 1), ("seed", seed, 0)):
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     reports = gramian_profile(pair, j_max, grid)
     a_star = min(r.lower for r in reports)
     b_star = max(r.upper for r in reports)

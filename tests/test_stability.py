@@ -586,10 +586,10 @@ def test_bound_transfer_rejects_bad_signal_arguments_before_work(monkeypatch):
 
     monkeypatch.setattr(fbstab.stability, "gramian_profile", no_work)
     monkeypatch.setattr(fbstab.stability, "gramian_fibers", no_work)
-    for n_signals, seed, message in ((0, 0, "n_signals must be >= 1"),
-                                     (-3, 0, "n_signals must be >= 1"),
-                                     (64, -1, "seed must be >= 0")):
-        with pytest.raises(ValueError, match=message):
+    for n_signals, seed, name in ((0, 0, "n_signals"), (-3, 0, "n_signals"),
+                                  (2.5, 0, "n_signals"), (64, -1, "seed"),
+                                  (64, 1.5, "seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             bound_transfer_check(haar_pair(), 2, GRID, n_signals=n_signals, seed=seed)
 
 
