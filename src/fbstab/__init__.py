@@ -47,7 +47,6 @@ from .stability import (
     bound_transfer_check,
     expand_certificate,
     gramian_bounds,
-    gramian_fibers,
     gramian_profile,
     mstar_m_eigenfunctions,
     sine_product_values,

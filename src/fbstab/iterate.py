@@ -61,15 +61,22 @@ def _filter_down(level: _Level, f: FiniteSeq) -> _Level:
     return _trim((offset + start) // 2, np.convolve(c, f.coeffs)[start::2])
 
 
-def _cascade_arrays(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[_Level, _Level]]:
-    """The cascade's (channel, low) levels as bare (offset, coeffs) pairs.
+def _analysis_filters(pair: FilterPair) -> tuple[FiniteSeq, FiniteSeq]:
+    """(involute(h), involute(g)), the filters every cascade level convolves
+    with; a caller that runs many cascades of one pair builds them once."""
+    return involute(pair.h), involute(pair.g)
+
+
+def _cascade_arrays(filters: tuple[FiniteSeq, FiniteSeq],
+                    x: FiniteSeq) -> Iterator[tuple[_Level, _Level]]:
+    """The cascade's (channel, low) levels as bare (offset, coeffs) pairs,
+    for the _analysis_filters of the pair.
 
     Trimming once per level, after the downsampling, drops the same edge
     values as FiniteSeq's trims after both the convolution and the
     downsampling, so each level equals the FiniteSeq operators' bit for bit.
     """
-    hb = involute(pair.h)
-    gb = involute(pair.g)
+    hb, gb = filters
     low = (x.offset, x.coeffs)
     while True:
         channel = _filter_down(low, gb)
@@ -77,9 +84,11 @@ def _cascade_arrays(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[_Level, _L
         yield channel, low
 
 
-def _cascade_energies(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[float, float]]:
-    """(||channel||^2, ||low||^2) for levels 1, 2, ... of the cascade, unbounded."""
-    for (_, channel), (_, low) in _cascade_arrays(pair, x):
+def _cascade_energies(filters: tuple[FiniteSeq, FiniteSeq],
+                      x: FiniteSeq) -> Iterator[tuple[float, float]]:
+    """(||channel||^2, ||low||^2) for levels 1, 2, ... of the cascade with the
+    _analysis_filters of the pair, unbounded."""
+    for (_, channel), (_, low) in _cascade_arrays(filters, x):
         yield _energy(channel), _energy(low)
 
 
@@ -90,7 +99,7 @@ def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteS
 
     The levels are computed on bare arrays (see _cascade_arrays); each is
     wrapped in a FiniteSeq only here, as it is handed out."""
-    for (c_off, c), (l_off, low) in _cascade_arrays(pair, x):
+    for (c_off, c), (l_off, low) in _cascade_arrays(_analysis_filters(pair), x):
         yield FiniteSeq(c_off, c), FiniteSeq(l_off, low)
 
 
@@ -118,7 +127,7 @@ def energy_profile(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Per-channel energies [||(Fx)_1||^2, ..., ||(Fx)_j_max||^2, residual]
     of the first j_max cascade levels."""
     _check_order(j_max)
-    levels = list(islice(_cascade_energies(pair, x), j_max))
+    levels = list(islice(_cascade_energies(_analysis_filters(pair), x), j_max))
     return [c for c, _ in levels] + [levels[-1][1]]
 
 
@@ -126,7 +135,8 @@ def lowpass_residual_norms(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[f
     """Norms ||(F_j x)_(j+1)|| of the cascade's low-pass residual for
     j = 1..j_max.  Supports stay bounded, so large j is cheap."""
     _check_order(j_max)
-    return [math.sqrt(low) for _, low in islice(_cascade_energies(pair, x), j_max)]
+    levels = islice(_cascade_energies(_analysis_filters(pair), x), j_max)
+    return [math.sqrt(low) for _, low in levels]
 
 
 def transfer_matrix(h: FiniteSeq, L: int) -> np.ndarray:

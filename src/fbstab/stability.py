@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from .filters import FactoredLowpass, FilterPair
-from .iterate import J_MAX, _cascade_energies, lowpass_residual_norms
+from .iterate import J_MAX, _analysis_filters, _cascade_energies, lowpass_residual_norms
 from .seqcore import (
     FiniteSeq,
     Grid,
@@ -206,33 +206,84 @@ def span_certificate(pair: FilterPair, grid: Grid) -> SpanCertificate:
 # Gramian fiberization
 
 
-def gramian_fibers(pair: FilterPair, j: int, xi: np.ndarray) -> list[np.ndarray]:
-    """Batched fiber matrices [X_1(xi), ..., X_j(xi)], X_k of size 2^k x 2^k,
-    built by the order recursion X_k = Y_k diag(I_K, X_(k-1)) for k = 1..j
-    from X_0 = 1, with K = 2^(k-1).
+def _channel_orthogonal(pair: FilterPair) -> bool:
+    """Whether sum_n conj g(n) h(n + 2m) = 0 for every m, up to round-off.
 
-    With g_k, h_k the transform values of g, h at the 2K points
-    2^-k (xi + q), q < 2K, scaled by 1/sqrt(2), row q of X_k is
+    These even-lag cross-correlations r(2m) are the coefficients of the
+    off-diagonal b(u) = sum_m r(2m) e^(-4 pi i m u) of M*M (see
+    mstar_m_eigenfunctions), so the pair passes when b vanishes
+    identically.  The test reads the taps: it accepts
+    sum_m |r(2m)| <= tol with tol = (len g + len h) eps ||g||_1 ||h||_1,
+    which bounds the round-off of the computed correlations.  A pair that
+    passes has |b(u)| <= tol at every u, so by Weyl's inequality the split
+    solve of gramian_fibers moves each squared singular value of X_k(xi)
+    by at most tol * max(1, sigma_max(X_(k-1)(xi))^2).  Every
+    orthogonal_highpass pair passes, and so does a pair with a zero filter,
+    which is decided without correlating.
+    """
+    g, h = pair.g.coeffs, pair.h.coeffs
+    if g.size == 0 or h.size == 0:
+        return True
+    r = np.correlate(h, g, "full")
+    # r[i] is the lag h.offset - g.offset + i - (len g - 1)
+    even = r[(pair.h.offset - pair.g.offset - g.size + 1) % 2::2]
+    tol = (g.size + h.size) * np.finfo(float).eps * np.sum(np.abs(g)) * np.sum(np.abs(h))
+    return float(np.sum(np.abs(even))) <= tol
+
+
+def _block_column_norms(v: np.ndarray) -> np.ndarray:
+    """sqrt(|v(q)|^2 + |v(q + K)|^2) for q < K, over the last axis of length 2K."""
+    K = v.shape[-1] // 2
+    return np.sqrt(np.abs(v[:, :K]) ** 2 + np.abs(v[:, K:]) ** 2)
+
+
+def gramian_fibers(pair: FilterPair, j: int,
+                   xi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The solve pieces [(a_1, M_1), ..., (a_j, M_j)] of the fibers X_k(xi)
+    at the points xi: the singular values of X_k(xi) are the entries of
+    a_k(xi) together with the singular values of the square M_k(xi).
+
+    X_k, of size 2^k x 2^k, comes from the order recursion
+    X_k = Y_k diag(I_K, X_(k-1)) from X_0 = 1, with K = 2^(k-1): with g_k,
+    h_k the transform values of g, h at the 2K points u_q = 2^-k (xi + q),
+    q < 2K, scaled by 1/sqrt(2), row q of X_k is
     [g_k(q) e_(q mod K), h_k(q) X_(k-1)[q mod K]].  The unitary
     block-Fourier factor relating X_k to the dense pre-Gramian is omitted;
     it does not change singular values.
+
+    Up to a row permutation, Y_k is K independent 2 x 2 blocks
+    [[g_k(q), h_k(q)], [g_k(q + K), h_k(q + K)]], q < K.  When the pair is
+    channel-orthogonal (_channel_orthogonal), each block has orthogonal
+    columns, so it is a unitary times diag(a_q, c_q) with a_q, c_q its
+    column norms, and sigma(X_k) = {a_q} U sigma(diag(c) X_(k-1)).  The
+    piece is then (a, diag(c) X_(k-1)), a 2^(k-1)-square matrix, and the
+    recursion is built only up to X_(j-1).  For any other pair the piece is
+    (an empty a, X_k), the full fiber.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    split = _channel_orthogonal(pair)
     X = np.ones((xi.shape[0], 1, 1), dtype=complex)
-    fibers = []
+    pieces = []
     for k in range(1, j + 1):
         K = 1 << (k - 1)
         u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (-k))
         g_k = dtft_at(pair.g, u) / SQRT2
         h_k = dtft_at(pair.h, u) / SQRT2
-        Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=complex)
-        rows = np.arange(2 * K)
-        Y[:, rows, rows % K] = g_k
-        np.multiply(h_k[:, :K, None], X, out=Y[:, :K, K:])
-        np.multiply(h_k[:, K:, None], X, out=Y[:, K:, K:])
+        Y = None
+        if k < j or not split:
+            Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=complex)
+            rows = np.arange(2 * K)
+            Y[:, rows, rows % K] = g_k
+            np.multiply(h_k[:, :K, None], X, out=Y[:, :K, K:])
+            np.multiply(h_k[:, K:, None], X, out=Y[:, K:, K:])
+        if split:
+            # X_(k-1) is not needed once X_k is built: scale it in place
+            X *= _block_column_norms(h_k)[:, :, None]
+            pieces.append((_block_column_norms(g_k), X))
+        else:
+            pieces.append((np.empty((xi.shape[0], 0)), Y))
         X = Y
-        fibers.append(X)
-    return fibers
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -254,18 +305,21 @@ def _check_gramian_order(j: int) -> None:
         raise ValueError(f"gramian order must be in 1..{GRAMIAN_J_CAP}, got {j}")
 
 
-def _sv_extremes(X: np.ndarray) -> tuple[float, float]:
-    """(min sigma_min, max sigma_max) over a batch of fibers."""
-    sv = np.linalg.svd(X, compute_uv=False)
-    return float(np.min(sv[:, -1])), float(np.max(sv[:, 0]))
+def _sv_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
+    """(min sigma_min, max sigma_max) over a batch of fibers given by their
+    solve pieces (see gramian_fibers): the entries of a and the singular
+    values of M."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return (min(float(np.min(sv[:, -1])), float(np.min(a, initial=math.inf))),
+            max(float(np.max(sv[:, 0])), float(np.max(a, initial=0.0))))
 
 
 def _part_extremes(pair: FilterPair, orders: range, xi: np.ndarray,
                    count: int | None = None) -> list[tuple[float, float]]:
     """_sv_extremes of the first `count` fibers at xi (all by default), for
     each order, from one build; the build is released when this returns."""
-    fibers = gramian_fibers(pair, orders[-1], xi)
-    return [_sv_extremes(fibers[j - 1][:count]) for j in orders]
+    pieces = gramian_fibers(pair, orders[-1], xi)
+    return [_sv_extremes(*(v[:count] for v in pieces[j - 1])) for j in orders]
 
 
 def _chunk_extremes(pool, pair: FilterPair, orders: range, xi: np.ndarray,
@@ -289,6 +343,14 @@ def _chunk_extremes(pool, pair: FilterPair, orders: range, xi: np.ndarray,
 
 def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[GramianReport]:
     """One GramianReport per order, from one pass over the grid.
+
+    Each order is solved from its pieces (see gramian_fibers).  For a
+    channel-orthogonal pair (sum_n conj g(n) h(n + 2m) = 0 for every m,
+    as for every orthogonal_highpass pair) the 2 x 2 blocks of the order
+    recursion have orthogonal columns, with norms a_q and c_q, so
+    sigma(X_k) = {a_q} U sigma(diag(c) X_(k-1)) and the SVD runs on
+    2^(k-1)-square matrices; any other pair is solved on the full 2^k-square
+    fibers.
 
     When g and h have real taps, g^(-u) = conj g^(u), so the fiber at
     (N - m)/N is the complex conjugate of the fiber at m/N up to row and
@@ -335,7 +397,13 @@ def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
 def gramian_profile(pair: FilterPair, j_max: int, grid: Grid) -> list[GramianReport]:
     """[gramian_bounds(pair, j, grid) for j in 1..j_max], equal report for
     report, from one pass: each chunk's order-j_max build supplies the
-    fibers of every lower order too (see _gramian_reports)."""
+    pieces of every lower order too (see _gramian_reports).
+
+    For a channel-orthogonal pair, sum_n conj g(n) h(n + 2m) = 0 for every
+    m, the singular values of X_k are the column norms a_q of the order's
+    2 x 2 blocks together with those of diag(c) X_(k-1), c_q the other
+    column norms, so each order costs an SVD of half the size; other pairs
+    are solved on the full fibers."""
     _check_gramian_order(j_max)
     return _gramian_reports(pair, range(1, j_max + 1), grid)
 
@@ -390,6 +458,7 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     reports = gramian_profile(pair, j_max, grid)
     a_star = min(r.lower for r in reports)
     b_star = max(r.upper for r in reports)
+    filters = _analysis_filters(pair)
     rng = np.random.default_rng(seed)
     emp_lo = math.inf
     emp_hi = 0.0
@@ -404,7 +473,7 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
         coeffs = rng.standard_normal(8)
         x = FiniteSeq(0, coeffs / np.linalg.norm(coeffs))
         energies = []
-        for energy, residual in islice(_cascade_energies(pair, x), 16):
+        for energy, residual in islice(_cascade_energies(filters, x), 16):
             energies.append(energy)
             if residual < 1e-8:
                 break

@@ -3,9 +3,10 @@
 None of these is used by the package: the dense pre-Gramian and the
 time-domain iterated filters cross-check the factored Gramian fibers and
 the analysis cascade, the FiniteSeq cascade checks the package's
-array cascade bit for bit, the full-grid bounds check the half-grid
-solve of real pairs, and the annulus and sine-product checks verify the
-estimates the stability proofs rest on.
+array cascade bit for bit, the full recursion fibers and the full-grid
+bounds built from them check the package's split and half-grid solves,
+and the annulus and sine-product checks verify the estimates the
+stability proofs rest on.
 """
 
 import math
@@ -24,7 +25,7 @@ from fbstab.seqcore import (
     upsample,
     zero_seq,
 )
-from fbstab.stability import gramian_fibers, sine_product_values
+from fbstab.stability import sine_product_values
 
 
 def downsample(x: FiniteSeq, j: int) -> FiniteSeq:
@@ -102,11 +103,52 @@ def gramian_dense(pair: FilterPair, j: int, xi: float) -> np.ndarray:
     return np.stack(cols, axis=1) * (2.0 ** (-j / 2.0))
 
 
-def gramian_bounds_full_grid(pair: FilterPair, j: int, grid: Grid) -> tuple[float, float]:
-    """(A_j, B_j) as the min of sigma_min^2 and the max of sigma_max^2 over
-    the SVDs of all N grid fibers, with no use of mirror symmetry."""
-    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points)[-1], compute_uv=False)
+def recursion_fibers(pair: FilterPair, j: int, xi: np.ndarray) -> list[np.ndarray]:
+    """Batched fiber matrices [X_1(xi), ..., X_j(xi)], X_k of size 2^k x 2^k,
+    built densely by the order recursion X_k = Y_k diag(I_K, X_(k-1)) for
+    k = 1..j from X_0 = 1, with K = 2^(k-1).
+
+    With g_k, h_k the transform values of g, h at the 2K points
+    2^-k (xi + q), q < 2K, scaled by 1/sqrt(2), row q of X_k is
+    [g_k(q) e_(q mod K), h_k(q) X_(k-1)[q mod K]].  This is the full fiber
+    that the package solves whole only for pairs that are not
+    channel-orthogonal.
+    """
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    X = np.ones((xi.shape[0], 1, 1), dtype=complex)
+    fibers = []
+    for k in range(1, j + 1):
+        K = 1 << (k - 1)
+        u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (-k))
+        g_k = dtft_at(pair.g, u) / math.sqrt(2.0)
+        h_k = dtft_at(pair.h, u) / math.sqrt(2.0)
+        Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=complex)
+        rows = np.arange(2 * K)
+        Y[:, rows, rows % K] = g_k
+        np.multiply(h_k[:, :K, None], X, out=Y[:, :K, K:])
+        np.multiply(h_k[:, K:, None], X, out=Y[:, K:, K:])
+        X = Y
+        fibers.append(X)
+    return fibers
+
+
+def _frame_bounds(X: np.ndarray) -> tuple[float, float]:
+    """(min sigma_min^2, max sigma_max^2) over the SVDs of a batch of fibers."""
+    sv = np.linalg.svd(X, compute_uv=False)
     return float(np.min(sv[:, -1]) ** 2), float(np.max(sv[:, 0]) ** 2)
+
+
+def gramian_bounds_full_grid(pair: FilterPair, j: int, grid: Grid) -> tuple[float, float]:
+    """(A_j, B_j) from the SVDs of all N full fibers X_j on the grid, with no
+    use of mirror symmetry or of the channel-orthogonal split."""
+    return _frame_bounds(recursion_fibers(pair, j, grid.points)[-1])
+
+
+def gramian_profile_full_grid(pair: FilterPair, j_max: int, grid: Grid,
+                              count: int | None = None) -> list[tuple[float, float]]:
+    """[(A_j, B_j) for j = 1..j_max] as gramian_bounds_full_grid, from one
+    build, over the first `count` grid points (all by default)."""
+    return [_frame_bounds(X) for X in recursion_fibers(pair, j_max, grid.points[:count])]
 
 
 def downsample_annulus_check(j: int, l: int, grid: Grid, seed: int = 0) -> tuple[bool, float]:

@@ -40,6 +40,7 @@ from fbstab.stability import (
     expand_certificate,
     gramian_bounds,
     gramian_fibers,
+    gramian_profile,
     std_expand_profile,
 )
 
@@ -47,12 +48,16 @@ from oracles import (
     downsample,
     downsample_annulus_check,
     gramian_dense,
+    recursion_fibers,
     sine_product_check,
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
 HAAR = seq(0, [INV_SQRT2, INV_SQRT2])
 TENT = seq(-1, math.sqrt(2) * np.array([0.25, 0.5, 0.25]))
+# Daubechies-4, orthonormal and not symmetric: (1+r3, 3+r3, 3-r3, 1-r3)/(4 sqrt 2)
+R3 = math.sqrt(3)
+DAUB4 = seq(0, np.array([1 + R3, 3 + R3, 3 - R3, 1 - R3]) / (4 * math.sqrt(2)))
 
 
 def report(num, desc, ok):
@@ -139,12 +144,16 @@ def test_criterion_5_haar_exactness():
     for j in range(1, 7):
         rep = gramian_bounds(pair, j, grid)
         ok &= abs(rep.lower - 1.0) < 1e-9 and abs(rep.upper - 1.0) < 1e-9
+    daub4 = orthogonal_pair(DAUB4)
+    for rep in gramian_profile(daub4, 6, Grid(512)):
+        ok &= abs(rep.lower - 1.0) < 1e-13 and abs(rep.upper - 1.0) < 1e-13
     rng = np.random.default_rng(0)
     for _ in range(32):
         x = seq(int(rng.integers(-8, 8)), rng.standard_normal(16))
-        out = analyze(pair, x, 4)
-        ok &= abs(sum(out.energies()) - norm_sq(x)) < 1e-10
-    report(5, "Haar exactness: A_j = B_j = 1 and energy identity", ok)
+        for p in (pair, daub4):
+            out = analyze(p, x, 4)
+            ok &= abs(sum(out.energies()) - norm_sq(x)) < 1e-10
+    report(5, "Haar and Daubechies-4 exactness: A_j = B_j = 1 and energy identity", ok)
 
 
 def test_criterion_6_factorization_oracle():
@@ -156,10 +165,16 @@ def test_criterion_6_factorization_oracle():
             for xi in rng.uniform(0, 1, size=16):
                 sv_dense = np.linalg.svd(gramian_dense(pair, j, float(xi)),
                                          compute_uv=False)
-                sv_fact = np.linalg.svd(gramian_fibers(pair, j, np.array([xi]))[-1][0],
+                sv_fact = np.linalg.svd(recursion_fibers(pair, j, np.array([xi]))[-1][0],
                                         compute_uv=False)
                 ok &= float(np.max(np.abs(sv_dense - sv_fact))) < 1e-10
-    report(6, "dense pre-Gramian matches factored fibers within 1e-10", ok)
+                # the package's split solve piece: a's entries and M's
+                # singular values
+                a, M = gramian_fibers(pair, j, np.array([xi]))[-1]
+                sv_split = np.sort(np.concatenate(
+                    [a[0], np.linalg.svd(M[0], compute_uv=False)]))[::-1]
+                ok &= float(np.max(np.abs(sv_dense - sv_split))) < 1e-10
+    report(6, "dense pre-Gramian matches factored fibers and their split within 1e-10", ok)
 
 
 def test_criterion_7_expanding_lower_bound():

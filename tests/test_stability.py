@@ -7,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import fbstab.iterate
 import fbstab.stability
 from fbstab.filters import (
     FactoredLowpass,
@@ -50,6 +53,8 @@ from oracles import (
     downsample_annulus_check,
     gramian_bounds_full_grid,
     gramian_dense,
+    gramian_profile_full_grid,
+    recursion_fibers,
     sine_product_check,
 )
 
@@ -261,13 +266,29 @@ def test_gramian_haar_tight():
         assert abs(rep.upper - 1.0) < 1e-9
 
 
+def _split_singular_values(pair, j, xi):
+    """Each fiber's singular values of order j from the package's solve
+    piece (a, M): the entries of a and the singular values of M, in
+    descending order, one row per point of xi."""
+    a, M = gramian_fibers(pair, j, xi)[-1]
+    sv = np.concatenate([a, np.linalg.svd(M, compute_uv=False)], axis=1)
+    return -np.sort(-sv, axis=1)
+
+
+def _unitarity_gap(X):
+    eye = np.eye(X.shape[-1])
+    return float(np.max(np.abs(np.conj(np.swapaxes(X, -1, -2)) @ X - eye)))
+
+
 def test_gramian_haar_fibers_unitary():
     pair = haar_pair()
     for j in range(1, 7):
-        X = gramian_fibers(pair, j, GRID.points[:: max(1, 4096 >> (12 - j))])[-1]
-        eye = np.eye(1 << j)
-        prod = np.conj(np.swapaxes(X, -1, -2)) @ X
-        assert float(np.max(np.abs(prod - eye))) < 1e-10
+        xi = GRID.points[:: max(1, 4096 >> (12 - j))]
+        assert _unitarity_gap(recursion_fibers(pair, j, xi)[-1]) < 1e-10
+        # the split piece of an orthonormal pair: a = 1 and M unitary
+        a, M = gramian_fibers(pair, j, xi)[-1]
+        assert float(np.max(np.abs(a - 1.0))) < 1e-10
+        assert _unitarity_gap(M) < 1e-10
 
 
 def test_gramian_dense_oracle_matches_fibers():
@@ -276,9 +297,11 @@ def test_gramian_dense_oracle_matches_fibers():
             for xi in RNG.uniform(0, 1, size=16):
                 dense = gramian_dense(pair, j, float(xi))
                 sv_dense = np.linalg.svd(dense, compute_uv=False)
-                X = gramian_fibers(pair, j, np.array([xi]))[-1][0]
+                X = recursion_fibers(pair, j, np.array([xi]))[-1][0]
                 sv_fact = np.linalg.svd(X, compute_uv=False)
                 assert np.max(np.abs(sv_dense - sv_fact)) < 1e-10
+                sv_split = _split_singular_values(pair, j, np.array([xi]))[0]
+                assert np.max(np.abs(sv_dense - sv_split)) < 1e-10
 
 
 def _level_product_fibers(pair, j, xi):
@@ -311,11 +334,14 @@ def _level_product_fibers(pair, j, xi):
                          ids=["haar", "ba-0.7", "ba-0.4871", "ho-1.085", "ho-0.3"])
 def test_gramian_fibers_match_level_product_oracle(pair):
     xi = np.random.default_rng(11).uniform(0, 1, size=16)
-    fibers = gramian_fibers(pair, 8, xi)
-    assert len(fibers) == 8
+    fibers = recursion_fibers(pair, 8, xi)
+    assert len(fibers) == 8 and len(gramian_fibers(pair, 8, xi)) == 8
     for j, X in enumerate(fibers, 1):
         diff = np.abs(X - _level_product_fibers(pair, j, xi))
         assert float(np.max(diff)) < 1e-13
+        sv = np.linalg.svd(X, compute_uv=False)
+        diff = np.abs(sv - _split_singular_values(pair, j, xi))
+        assert float(np.max(diff)) < 1e-13 * max(1.0, float(np.max(sv)))
 
 
 def _with_highpass(pair, taps):
@@ -326,7 +352,7 @@ def _with_highpass(pair, taps):
 def _mirror_gap(pair, j, grid):
     """Largest difference of the fiber singular values at m/N and (N-m)/N,
     relative to the largest singular value on the grid."""
-    sv = np.linalg.svd(gramian_fibers(pair, j, grid.points)[-1], compute_uv=False)
+    sv = np.linalg.svd(recursion_fibers(pair, j, grid.points)[-1], compute_uv=False)
     mirror = sv[-np.arange(grid.size) % grid.size]
     return float(np.max(np.abs(sv - mirror)) / np.max(sv))
 
@@ -357,6 +383,78 @@ def test_gramian_complex_pair_keeps_full_grid(size):
     for j in range(1, 7):
         assert _mirror_gap(pair, j, grid) > 1e-3
         _assert_matches_full_grid(pair, j, grid)
+
+
+@st.composite
+def _factored_pairs(draw):
+    """assemble(FactoredLowpass(n, p)) with n = 1..4 and a real p of 1..4
+    taps at offsets -2..2 scaled to p^(0) = 1, with its orthogonal
+    high-pass, and a grid of 5..16 points."""
+    n = draw(st.integers(1, 4))
+    taps = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4)))
+    assume(abs(np.sum(taps)) > 0.25)
+    h = assemble(FactoredLowpass(n, seq(draw(st.integers(-2, 2)), taps / np.sum(taps))))
+    return FilterPair(h, orthogonal_highpass(h)), Grid(draw(st.integers(5, 16)))
+
+
+def _off_diagonal_max(pair, grid):
+    """Largest |b(u)| over the grid, b the off-diagonal of M*M."""
+    u = grid.points
+    b = (np.conj(dtft_at(pair.g, u)) * dtft_at(pair.h, u)
+         + np.conj(dtft_at(pair.g, u + 0.5)) * dtft_at(pair.h, u + 0.5)) / 2.0
+    return float(np.max(np.abs(b)))
+
+
+def _assert_profile_matches_oracle(pair, j_max, grid):
+    reports = gramian_profile(pair, j_max, grid)
+    for rep, (lower, upper) in zip(reports, gramian_profile_full_grid(pair, j_max, grid)):
+        assert abs(rep.lower - lower) <= 1e-12 * upper
+        assert abs(rep.upper - upper) <= 1e-12 * upper
+    return reports
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(_factored_pairs(), st.integers(1, 7))
+def test_gramian_split_matches_oracle_on_random_orthogonal_pairs(case, j_max):
+    pair, grid = case
+    assert fbstab.stability._channel_orthogonal(pair)
+    assert _off_diagonal_max(pair, Grid(64)) <= 1e-12
+    _assert_profile_matches_oracle(pair, j_max, grid)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(_factored_pairs(), st.integers(1, 7))
+def test_gramian_full_solve_of_random_non_orthogonal_pairs(case, j_max):
+    # g convolved with (1, z): the even-lag correlations become the odd ones
+    orth, grid = case
+    pair = FilterPair(orth.h, convolve(orth.g, seq(0, [1.0, 1.0])))
+    assert not fbstab.stability._channel_orthogonal(pair)
+    assert _off_diagonal_max(pair, Grid(64)) > 1e-6
+    reports = _assert_profile_matches_oracle(pair, j_max, grid)
+    # the full fibers of the solved half grid, solved as the oracle does:
+    # equal bit for bit
+    half = gramian_profile_full_grid(pair, j_max, grid, grid.size // 2 + 1)
+    assert [(r.lower, r.upper) for r in reports] == half
+
+
+def test_channel_test_classifies_fixed_pairs():
+    for pair in (haar_pair(), ba_pair(0.7), ho_pair(1.0), FilterPair(HAAR, zero_seq())):
+        assert fbstab.stability._channel_orthogonal(pair)
+    for taps in ([1.0, 0.3], [1.0, 0.3j]):
+        assert not fbstab.stability._channel_orthogonal(_with_highpass(ba_pair(0.7), taps))
+
+
+def test_gramian_zero_highpass_has_lower_bound_zero(monkeypatch):
+    def no_correlate(*args):
+        raise AssertionError("np.correlate called on an empty tap array")
+
+    pair = FilterPair(HAAR, zero_seq())
+    grid = Grid(16)
+    oracle = gramian_profile_full_grid(pair, 5, grid)
+    monkeypatch.setattr(np, "correlate", no_correlate)
+    for rep, (_, upper) in zip(gramian_profile(pair, 5, grid), oracle):
+        assert rep.lower == 0.0
+        assert rep.upper == pytest.approx(upper, rel=1e-12)
 
 
 def _assert_same_for_every_worker_count(pair, j, grid, monkeypatch):
@@ -405,9 +503,9 @@ def test_gramian_small_batches_stay_on_calling_thread(monkeypatch):
     solve = fbstab.stability._sv_extremes
     threads = []
 
-    def recording_solve(X):
+    def recording_solve(*piece):
         threads.append(threading.get_ident())
-        return solve(X)
+        return solve(*piece)
 
     monkeypatch.setattr(fbstab.stability, "_sv_extremes", recording_solve)
     monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 2)
@@ -448,12 +546,16 @@ def test_gramian_split_chunk_peak_is_below_one_whole_build(monkeypatch):
         gramian_fibers(pair, 4, grid.points)
         _, whole_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
+        recursion_fibers(pair, 4, grid.points)
+        _, dense_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         gramian_bounds(pair, 4, grid)
         _, solve_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # two concurrent builds of 2049 points each, against one of 8192
     assert solve_peak <= 0.6 * whole_peak
+    assert whole_peak < dense_peak
 
 
 def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
@@ -463,29 +565,39 @@ def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
     lock = threading.Lock()
     builds = []
 
+    def piece_bytes(pieces):
+        return sum(v.nbytes for v in pieces[-1])
+
     def traced_build(*args):
         X = build(*args)
         with lock:
             held, build_peak = tracemalloc.get_traced_memory()
-            builds.append((held, build_peak, X[-1].nbytes))
+            builds.append((held, build_peak, piece_bytes(X)))
             tracemalloc.reset_peak()
         return X
 
     monkeypatch.setattr(fbstab.stability, "gramian_fibers", traced_build)
     tracemalloc.start()
     try:
-        whole = build(pair, 6, grid.points)[-1].nbytes
+        dense = recursion_fibers(pair, 6, grid.points)[-1].nbytes
+        _, dense_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        whole = piece_bytes(build(pair, 6, grid.points))
         _, fibers_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         gramian_bounds(pair, 6, grid)
         _, solve_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    # the order-6 piece is a 32 x 32 matrix per fiber, a quarter of the
+    # 64 x 64 fiber, and the build stops at X_5
+    assert whole <= dense / 4 + 1024 * 32 * 8
+    assert fibers_peak <= 0.45 * dense_peak
     assert max(build_peak for _, build_peak, _ in builds) <= 1.1 * fibers_peak
     assert solve_peak <= 1.1 * fibers_peak
-    # The builds together hold at most the one 64 MB chunk, and once the
-    # last of them exists the SVDs add nothing of that order; a masked
-    # (copying) input adds 32 MB.
+    # The builds together hold at most the one 16 MB chunk piece, and once
+    # the last of them exists the SVDs add nothing of that order; a masked
+    # (copying) input adds 8 MB.
     built = sum(nbytes for _, _, nbytes in builds)
     assert built <= whole
     held_after_last_build = builds[-1][0]
@@ -591,6 +703,24 @@ def test_bound_transfer_rejects_bad_signal_arguments_before_work(monkeypatch):
                                   (64, 1.5, "seed")):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             bound_transfer_check(haar_pair(), 2, GRID, n_signals=n_signals, seed=seed)
+
+
+def test_bound_transfer_involutes_the_filters_once(monkeypatch):
+    involute = fbstab.iterate.involute
+    calls = []
+
+    def counting_involute(x):
+        calls.append(x)
+        return involute(x)
+
+    monkeypatch.setattr(fbstab.iterate, "involute", counting_involute)
+    pair = ba_pair(0.7)
+    rep = bound_transfer_check(pair, 2, Grid(64), n_signals=16, seed=0)
+    # h and g once for the 16 signals, and once more for the residual probe
+    # (lowpass_residual_norms), not once per cascade run
+    assert [id(c) for c in calls] == [id(pair.h), id(pair.g)] * 2
+    monkeypatch.undo()
+    assert rep == bound_transfer_check(pair, 2, Grid(64), n_signals=16, seed=0)
 
 
 def _bound_transfer_oracle(pair, j_max, grid, n_signals, seed, tol=1e-6):
