@@ -7,12 +7,9 @@ from .seqcore import (
     convolve,
     delta,
     dtft_at,
-    inner,
     involute,
     norm_sq,
     seq,
-    seq_close,
-    translate,
     upsample,
     zero_seq,
 )

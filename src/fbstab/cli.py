@@ -5,6 +5,7 @@ Subcommands: `certify` (run all stability certificates and Gramian bounds),
 operator on a signal), and `profile` (grid profiles behind the certificates,
 as CSV).  `certify`, `sweep` and `profile` take the evaluation grid size
 `--grid`; `apply` works on sequences, not on a grid, and rejects it.
+`profile` rejects any option that its `--which` kind does not read.
 
 Output is deterministic: floats are printed with 17 significant digits and
 booleans as 0/1 in CSV, so identical invocations are byte-identical.  Each
@@ -200,19 +201,31 @@ def cmd_apply(args) -> int:
     return 0
 
 
+# The options each `profile --which` kind reads, by argparse dest; --grid
+# and --out apply to every kind.  std-expand uses the orthogonal high-pass.
+PROFILE_READS = {
+    "sine-product": ("order",),
+    "std-expand": ("family", "a", "filter_file"),
+    "eigenfunctions": ("family", "a", "filter_file", "highpass"),
+}
+PROFILE_FLAGS = {"order": "--order", "family": "--family", "a": "--a",
+                 "filter_file": "--filter", "highpass": "--highpass"}
+
+
 def cmd_profile(args) -> int:
+    unread = [flag for dest, flag in PROFILE_FLAGS.items()
+              if dest not in PROFILE_READS[args.which]
+              and getattr(args, dest) is not None]
+    if unread:
+        raise ValueError(f"--which {args.which} does not read "
+                         f"{', '.join(unread)}")
     grid = Grid(args.grid)
     if args.which == "sine-product":
-        if any(v is not None for v in (args.family, args.a, args.filter_file, args.highpass)):
-            raise ValueError("--which sine-product takes no filter options "
-                             "(--family, --a, --filter, --highpass)")
-        _, mod, bound = sine_product_values(args.order, grid)
+        _, mod, bound = sine_product_values(
+            4 if args.order is None else args.order, grid)
         header = "xi,product,bound"
         cols = (grid.points, mod, bound)
     else:
-        if args.which == "std-expand" and args.highpass is not None:
-            raise ValueError("--which std-expand takes no --highpass: its "
-                             "profile uses the orthogonal high-pass of h")
         h, _ = _load_lowpass(args)
         if args.which == "std-expand":
             header = "xi,std_expand"
@@ -278,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation grid size (default 8192)")
     p.add_argument("--which", required=True,
                    choices=("std-expand", "eigenfunctions", "sine-product"))
-    p.add_argument("--order", type=int, default=4,
+    p.add_argument("--order", type=int,
                    help="product length for sine-product (default 4)")
     p.set_defaults(func=cmd_profile)
     return parser

@@ -10,12 +10,12 @@ levels it hands out, so both paths give the same bits.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 TRIM_TOL = 1e-14
-EQ_TOL = 1e-12
 # Largest grid: DTFTs build an N x taps phase matrix, so N = 10**8 with five
 # taps would allocate 8 GB before any check ran.
 GRID_CAP = 1 << 22
@@ -76,13 +76,6 @@ class FiniteSeq:
     def indices(self) -> np.ndarray:
         return self.offset + np.arange(len(self.coeffs))
 
-    def at(self, n: int) -> complex:
-        """Value at integer index n (0 outside the support)."""
-        i = n - self.offset
-        if 0 <= i < len(self.coeffs):
-            return complex(self.coeffs[i])
-        return 0.0 + 0.0j
-
     @property
     def is_real(self) -> bool:
         return self.is_zero or float(np.max(np.abs(self.coeffs.imag))) <= TRIM_TOL
@@ -98,16 +91,33 @@ class FiniteSeq:
         return {"offset": int(self.offset), "coeffs": coeffs}
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "FiniteSeq":
-        coeffs = np.asarray(
-            [complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-             for c in obj["coeffs"]], dtype=complex)
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("sequence coefficients must be finite (got NaN or Inf)")
-        offset = obj["offset"]
+    def from_json_obj(cls, obj) -> "FiniteSeq":
+        """Read {"offset": integer, "coeffs": [tap, ...]}, each tap a finite
+        JSON number or an [re, im] pair of them.  Anything else (a bool, a
+        string, a list of another length, NaN) raises ValueError, naming
+        the bad tap's index."""
+        if not (isinstance(obj, dict) and "offset" in obj and "coeffs" in obj):
+            raise ValueError('a sequence must be a JSON object with keys '
+                             '"offset" and "coeffs"')
+        offset, taps = obj["offset"], obj["coeffs"]
         if isinstance(offset, bool) or not isinstance(offset, int):
             raise ValueError(f"sequence offset must be an integer, got {offset!r}")
+        if not isinstance(taps, list):
+            raise ValueError(f"sequence coeffs must be a list, got {taps!r}")
+        coeffs = np.asarray([_json_tap(i, c) for i, c in enumerate(taps)],
+                            dtype=complex)
         return cls(offset, coeffs)
+
+
+def _json_tap(i: int, c) -> complex:
+    """Tap i of a JSON sequence: a finite number or an [re, im] pair of them."""
+    parts = c if isinstance(c, list) and len(c) == 2 else [c]
+    # `abs(v) <= max` is False for NaN, infinity and integers beyond a float
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in parts):
+        raise ValueError(f"tap {i} must be a finite number or an [re, im] "
+                         f"pair of finite numbers, got {c!r}")
+    return complex(*parts)
 
 
 def seq(offset: int, coeffs) -> FiniteSeq:
@@ -185,12 +195,6 @@ def involute(x: FiniteSeq) -> FiniteSeq:
     return FiniteSeq(-(x.offset + len(x.coeffs) - 1), np.conj(x.coeffs[::-1]))
 
 
-def translate(x: FiniteSeq, k: int) -> FiniteSeq:
-    if x.is_zero:
-        return x
-    return FiniteSeq(x.offset + k, x.coeffs)
-
-
 def upsample(x: FiniteSeq, j: int) -> FiniteSeq:
     """Insert 2^j - 1 zeros between samples: result(2^j m) = x(m)."""
     if j < 1:
@@ -205,39 +209,3 @@ def upsample(x: FiniteSeq, j: int) -> FiniteSeq:
 
 def norm_sq(x: FiniteSeq) -> float:
     return _energy(x.coeffs)
-
-
-def inner(x: FiniteSeq, y: FiniteSeq) -> complex:
-    """l2 inner product sum_n x(n) conj(y(n))."""
-    if x.is_zero or y.is_zero:
-        return 0.0 + 0.0j
-    lo = max(x.support[0], y.support[0])
-    hi = min(x.support[1], y.support[1])
-    if lo > hi:
-        return 0.0 + 0.0j
-    xs = x.coeffs[lo - x.offset:hi - x.offset + 1]
-    ys = y.coeffs[lo - y.offset:hi - y.offset + 1]
-    return complex(np.sum(xs * np.conj(ys)))
-
-
-def seq_close(x: FiniteSeq, y: FiniteSeq, tol: float = EQ_TOL) -> bool:
-    """Max-abs coefficient difference below tol, after index alignment."""
-    if x.is_zero and y.is_zero:
-        return True
-    if x.is_zero or y.is_zero:
-        other = y if x.is_zero else x
-        return float(np.max(np.abs(other.coeffs))) < tol
-    lo = min(x.offset, y.offset)
-    hi = max(x.support[1], y.support[1])
-    buf = np.zeros(hi - lo + 1, dtype=complex)
-    buf[x.offset - lo:x.offset - lo + len(x.coeffs)] += x.coeffs
-    buf[y.offset - lo:y.offset - lo + len(y.coeffs)] -= y.coeffs
-    return float(np.max(np.abs(buf))) < tol
-
-
-def shift_invariant_close(x: FiniteSeq, y: FiniteSeq, tol: float = EQ_TOL) -> bool:
-    """True when x equals some integer translate of y within tol."""
-    if x.is_zero or y.is_zero:
-        return seq_close(x, y, tol)
-    shift = x.offset - y.offset
-    return seq_close(x, translate(y, shift), tol)

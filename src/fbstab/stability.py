@@ -106,7 +106,7 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
     if grid.size <= math.pi * d:
         raise GridTooCoarseError(
             f"grid size {grid.size} cannot certify a degree-{d} polynomial; "
-            f"need N > pi*d ~ {math.pi * d:.0f}")
+            f"need N > pi*d, N >= {math.floor(math.pi * d) + 1}")
     grid_max = float(np.max(np.abs(dtft_grid(q, grid.size))))
     sup_value = grid_max / (1.0 - math.pi * d / grid.size)
     threshold = 2.0 ** ((f.n - 0.5) * s)

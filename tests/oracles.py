@@ -1,6 +1,8 @@
 """Independent reference constructions the tests check the package against.
 
-None of these is used by the package: the dense pre-Gramian and the
+None of these is used by the package: the index-aligned sequence helpers
+(`at`, `translate`, `inner`, `seq_close`, `shift_invariant_close`) state
+the tests' expectations, the dense pre-Gramian and the
 time-domain iterated filters cross-check the factored Gramian fibers and
 the analysis cascade, the FiniteSeq cascade checks the package's
 array cascade bit for bit, the full recursion fibers and the full-grid
@@ -21,11 +23,63 @@ from fbstab.seqcore import (
     dtft_at,
     involute,
     norm_sq,
-    translate,
     upsample,
     zero_seq,
 )
 from fbstab.stability import sine_product_values
+
+EQ_TOL = 1e-12
+
+
+def at(x: FiniteSeq, n: int) -> complex:
+    """Value of x at integer index n (0 outside the support)."""
+    i = n - x.offset
+    if 0 <= i < len(x.coeffs):
+        return complex(x.coeffs[i])
+    return 0.0 + 0.0j
+
+
+def translate(x: FiniteSeq, k: int) -> FiniteSeq:
+    """result(n) = x(n - k)."""
+    if x.is_zero:
+        return x
+    return FiniteSeq(x.offset + k, x.coeffs)
+
+
+def inner(x: FiniteSeq, y: FiniteSeq) -> complex:
+    """l2 inner product sum_n x(n) conj(y(n))."""
+    if x.is_zero or y.is_zero:
+        return 0.0 + 0.0j
+    lo = max(x.support[0], y.support[0])
+    hi = min(x.support[1], y.support[1])
+    if lo > hi:
+        return 0.0 + 0.0j
+    xs = x.coeffs[lo - x.offset:hi - x.offset + 1]
+    ys = y.coeffs[lo - y.offset:hi - y.offset + 1]
+    return complex(np.sum(xs * np.conj(ys)))
+
+
+def seq_close(x: FiniteSeq, y: FiniteSeq, tol: float = EQ_TOL) -> bool:
+    """Max-abs coefficient difference below tol, after index alignment."""
+    if x.is_zero and y.is_zero:
+        return True
+    if x.is_zero or y.is_zero:
+        other = y if x.is_zero else x
+        return float(np.max(np.abs(other.coeffs))) < tol
+    lo = min(x.offset, y.offset)
+    hi = max(x.support[1], y.support[1])
+    buf = np.zeros(hi - lo + 1, dtype=complex)
+    buf[x.offset - lo:x.offset - lo + len(x.coeffs)] += x.coeffs
+    buf[y.offset - lo:y.offset - lo + len(y.coeffs)] -= y.coeffs
+    return float(np.max(np.abs(buf))) < tol
+
+
+def shift_invariant_close(x: FiniteSeq, y: FiniteSeq, tol: float = EQ_TOL) -> bool:
+    """True when x equals some integer translate of y within tol."""
+    if x.is_zero or y.is_zero:
+        return seq_close(x, y, tol)
+    shift = x.offset - y.offset
+    return seq_close(x, translate(y, shift), tol)
 
 
 def downsample(x: FiniteSeq, j: int) -> FiniteSeq:

@@ -97,6 +97,30 @@ def test_certify_input_errors(tmp_path, capsys):
                      "--order", "1"]) == code
         assert main(["apply", "--family", "burt-adelson", "--a", "0.7",
                      "--signal", str(path), "--order", "2"]) == code
+    # a tap is a JSON number or an [re, im] pair of numbers, nothing else
+    for name, obj in (
+            ("strings", {"offset": 0, "coeffs": [str(s), str(s)]}),
+            ("triple", {"offset": 0, "coeffs": [[s, 0.0, 5.0], s]}),
+            ("single", {"offset": 0, "coeffs": [s, [s]]}),
+            ("bool", {"offset": 0, "coeffs": [True, s]}),
+            ("pair_bool", {"offset": 0, "coeffs": [[s, False], s]}),
+            ("big_int", {"offset": 0, "coeffs": [s, 10 ** 400]}),
+            ("no_coeffs", {"offset": 0}),
+            ("no_offset", {"coeffs": [s, s]}),
+            ("coeffs_not_list", {"offset": 0, "coeffs": s}),
+            ("not_object", [s, s])):
+        path = tmp_path / f"tap_{name}.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["certify", "--filter", str(path), "--grid", "64",
+                      "--order", "1"],
+                     ["apply", "--family", "burt-adelson", "--a", "0.7",
+                      "--signal", str(path), "--order", "2"]):
+            capsys.readouterr()
+            assert main(argv) == 1, (name, argv[0])
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error:")
+            assert len(captured.err.splitlines()) == 1
     fam = ["certify", "--family", "burt-adelson", "--a", "0.7", "--grid", "64"]
     for bad_opt in (["--order", "0"], ["--order", "-3"], ["--s-max", "0"]):
         assert main(fam + bad_opt) == 1
@@ -316,6 +340,43 @@ def test_profile_std_expand_rejects_highpass(capsys):
         assert captured.out == ""
         assert captured.err.startswith("error:")
     assert main(base) == 0
+
+
+PROFILE_OPTIONS = {"--order": "3", "--family": "burt-adelson", "--a": "0.7",
+                   "--filter": str(GOLDEN / "haar.json"),
+                   "--highpass": "orthogonal"}
+PROFILE_READS = {"sine-product": {"--order"},
+                 "std-expand": {"--family", "--a", "--filter"},
+                 "eigenfunctions": {"--family", "--a", "--filter", "--highpass"}}
+# the options each kind's passing run is given (--filter excludes --family/--a)
+PROFILE_GIVEN = {"sine-product": ["--order"],
+                 "std-expand": ["--family", "--a"],
+                 "eigenfunctions": ["--family", "--a", "--highpass"]}
+
+
+@pytest.mark.parametrize("which, option", [
+    (which, option) for which in PROFILE_READS for option in PROFILE_OPTIONS
+    if option not in PROFILE_READS[which]])
+def test_profile_rejects_each_option_its_kind_does_not_read(which, option, capsys):
+    base = ["profile", "--which", which, "--grid", "4", "--out", os.devnull]
+    for flag in PROFILE_GIVEN[which]:
+        base += [flag, PROFILE_OPTIONS[flag]]
+    assert main(base) == 0
+    assert main(base + [option, PROFILE_OPTIONS[option]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --which {which} does not read {option}\n"
+
+
+def test_profile_reads_its_options(capsys):
+    assert main(["profile", "--which", "eigenfunctions",
+                 "--filter", PROFILE_OPTIONS["--filter"],
+                 "--highpass", "orthogonal", "--grid", "4",
+                 "--out", os.devnull]) == 0
+    # the default product length is 4
+    assert run(capsys, "profile", "--which", "sine-product", "--grid", "8") == \
+        run(capsys, "profile", "--which", "sine-product", "--grid", "8",
+            "--order", "4")
 
 
 def test_certify_builds_each_solved_gramian_point_once(monkeypatch, tmp_path):

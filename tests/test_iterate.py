@@ -33,20 +33,21 @@ from fbstab.seqcore import (
     Grid,
     convolve,
     dtft_at,
-    inner,
     norm_sq,
     seq,
-    seq_close,
-    translate,
     zero_seq,
 )
 
 from oracles import (
+    at,
     cascade_energies,
     cascade_levels,
     cascade_residual_norms,
     downsample,
+    inner,
     iterate_filters,
+    seq_close,
+    translate,
 )
 
 RNG = np.random.default_rng(11)
@@ -98,10 +99,10 @@ def test_analysis_channels_are_inner_products():
         ch = out.channels[l - 1]
         for k in range(-6, 7):
             ref = inner(x, translate(g_list[l - 1], (1 << l) * k))
-            assert abs(ch.at(k) - ref) < 1e-12
+            assert abs(at(ch, k) - ref) < 1e-12
     for k in range(-6, 7):
         ref = inner(x, translate(h_list[j - 1], (1 << j) * k))
-        assert abs(out.lowpass_residual.at(k) - ref) < 1e-12
+        assert abs(at(out.lowpass_residual, k) - ref) < 1e-12
 
 
 def test_cascade_matches_analyze_exactly():
@@ -161,7 +162,7 @@ def test_transfer_matrix_matches_operator():
         tm = transfer_matrix(h, L)
         for _ in range(5):
             x = seq(-2, RNG.standard_normal(5))
-            vec = np.array([x.at(n) for n in range(-L, L + 1)])
+            vec = np.array([at(x, n) for n in range(-L, L + 1)])
             direct = downsample(convolve(x, h), 1)
             assert seq_close(seq(-L, tm @ vec), direct)
 
@@ -178,11 +179,11 @@ def test_residual_channel_is_transfer_power():
         L = 16
         tm = transfer_matrix(h, L)
         x = seq(-3, RNG.standard_normal(7))
-        vec = np.array([x.at(n) for n in range(-L, L + 1)])
+        vec = np.array([at(x, n) for n in range(-L, L + 1)])
         for j in (1, 2, 3):
             out = analyze(pair, x, j)
             ref = np.linalg.matrix_power(tm, j) @ vec
-            got = np.array([out.lowpass_residual.at(n) for n in range(-L, L + 1)])
+            got = np.array([at(out.lowpass_residual, n) for n in range(-L, L + 1)])
             assert np.max(np.abs(got - ref)) < 1e-10
 
 

@@ -13,17 +13,14 @@ from fbstab.seqcore import (
     delta,
     dtft_at,
     dtft_grid,
-    inner,
     involute,
     norm_sq,
     seq,
-    seq_close,
-    translate,
     upsample,
     zero_seq,
 )
 
-from oracles import downsample
+from oracles import at, downsample, inner, seq_close, translate
 
 RNG = np.random.default_rng(2024)
 
@@ -39,8 +36,8 @@ def random_seq(length=8, offset_range=6, complex_valued=True):
 def test_trimming_and_zero():
     x = seq(-3, [0.0, 0.0, 1.0, 2.0, 0.0])
     assert x.support == (-1, 0)
-    assert x.at(-1) == 1.0
-    assert x.at(5) == 0.0
+    assert at(x, -1) == 1.0
+    assert at(x, 5) == 0.0
     z = seq(7, [0.0, 0.0])
     assert z.is_zero
     assert z.offset == 0
@@ -101,9 +98,9 @@ def test_downsample_keeps_dyadic_samples():
     x = seq(-2, [1, 2, 3, 4, 5, 6, 7])
     d = downsample(x, 1)
     assert d.support == (-1, 2)
-    assert [d.at(n).real for n in range(-1, 3)] == [1, 3, 5, 7]
+    assert [at(d, n).real for n in range(-1, 3)] == [1, 3, 5, 7]
     d2 = downsample(x, 2)
-    assert [d2.at(n).real for n in range(0, 2)] == [3, 7]
+    assert [at(d2, n).real for n in range(0, 2)] == [3, 7]
 
 
 def test_upsample_then_downsample_is_identity():
@@ -166,6 +163,21 @@ def test_json_roundtrip():
     assert obj["coeffs"][1] == [0.25, -1.0]
     y = FiniteSeq.from_json_obj(obj)
     assert seq_close(x, y, tol=0 + 1e-15)
+
+
+def test_json_rejects_bad_taps_by_index():
+    good = 0.5
+    for bad in ("0.5", True, [good], [good, 0.0, 5.0], [good, None],
+                math.nan, [good, math.inf], 10 ** 400, None):
+        with pytest.raises(ValueError, match=r"^tap 1 must be"):
+            FiniteSeq.from_json_obj({"offset": 0, "coeffs": [good, bad, good]})
+    for obj in ({"offset": 0}, {"coeffs": [good]}, [good],
+                {"offset": 0, "coeffs": good}, {"offset": 1.0, "coeffs": [good]}):
+        with pytest.raises(ValueError):
+            FiniteSeq.from_json_obj(obj)
+    x = FiniteSeq.from_json_obj({"offset": -1, "coeffs": [1, [2, -3], 0.25]})
+    assert x.offset == -1
+    assert list(x.coeffs) == [1, 2 - 3j, 0.25]
 
 
 def test_centered_points_cover_half_open_interval():

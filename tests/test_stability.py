@@ -147,6 +147,22 @@ def test_bessel_grid_too_coarse():
         bessel_certificate(f, 3, Grid(16))
 
 
+@pytest.mark.parametrize("f, s", [(factor(burt_adelson(0.7)), 1),
+                                  (factor(burt_adelson(0.7)), 3),
+                                  (higher_order(1.0), 2),
+                                  (higher_order(1.0), 4)])
+def test_grid_too_coarse_names_the_smallest_grid_that_works(f, s):
+    # the message names floor(pi*d) + 1: that grid certifies, one less cannot
+    with pytest.raises(GridTooCoarseError) as exc:
+        bessel_certificate(f, s, Grid(2))
+    need = int(str(exc.value).rsplit("N >= ", 1)[1])
+    d = trig_degree(dilated_product(f.p, s))
+    assert d >= 1 and need == math.floor(math.pi * d) + 1
+    assert bessel_certificate(f, s, Grid(need)).degree == d
+    with pytest.raises(GridTooCoarseError):
+        bessel_certificate(f, s, Grid(need - 1))
+
+
 def _bessel_direct_sum(f, s, grid):
     """(grid_max, degree, verdict) with the grid maximum of the dilated
     product taken by direct summation at the grid points, 512 points at a
