@@ -97,9 +97,14 @@ def _write_out(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _read_json(path: str) -> dict:
+def _read_seq(path: str) -> FiniteSeq:
+    """The sequence in a JSON file.  A ValueError, malformed JSON included,
+    is prefixed with the path, so an error names the file that caused it."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return FiniteSeq.from_json_obj(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _family_filter(family: str, a: float) -> tuple[FiniteSeq, FactoredLowpass]:
@@ -119,7 +124,7 @@ def _load_lowpass(args) -> tuple[FiniteSeq, FactoredLowpass]:
     if args.filter_file is not None:
         if args.family is not None or args.a is not None:
             raise ValueError("--filter excludes --family/--a")
-        h = FiniteSeq.from_json_obj(_read_json(args.filter_file))
+        h = _read_seq(args.filter_file)
         return h, factor(h)
     if args.family is None:
         raise ValueError("one of --family or --filter is required")
@@ -131,7 +136,7 @@ def _load_lowpass(args) -> tuple[FiniteSeq, FactoredLowpass]:
 def _load_pair(args, h: FiniteSeq) -> FilterPair:
     if args.highpass in (None, "orthogonal"):
         return FilterPair(h, orthogonal_highpass(h))
-    return FilterPair(h, FiniteSeq.from_json_obj(_read_json(args.highpass)))
+    return FilterPair(h, _read_seq(args.highpass))
 
 
 def cmd_certify(args) -> int:
@@ -145,8 +150,13 @@ def cmd_certify(args) -> int:
     bessel = [bessel_certificate(f, s, grid) for s in range(1, args.s_max + 1)]
     expand = expand_certificate(pair, grid)
     span = span_certificate(pair, grid)
+    # The transfer operator has the same spectrum for every translate of h,
+    # so a support that misses index 0 is moved to touch it: the window
+    # [-L, L] then follows the filter's length, not its offset.
     lo, hi = h.support
-    contraction = contraction_certificate(h, max(abs(lo), abs(hi)))
+    shift = min(max(0, lo), hi)
+    contraction = contraction_certificate(FiniteSeq(lo - shift, h.coeffs),
+                                          max(shift - lo, hi - shift))
     gramian = gramian_profile(pair, args.order, grid)
     # overall verdict: a Bessel bound at some product length, plus the
     # expanding and span conditions; the contraction certificate is a
@@ -195,7 +205,7 @@ def cmd_sweep(args) -> int:
 def cmd_apply(args) -> int:
     h, _ = _load_lowpass(args)
     pair = _load_pair(args, h)
-    x = FiniteSeq.from_json_obj(_read_json(args.signal))
+    x = _read_seq(args.signal)
     out = analyze(pair, x, args.order)
     _write_out(_json_dumps(out.to_json_obj()), args.out)
     return 0

@@ -16,9 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 
 TRIM_TOL = 1e-14
-# Largest grid: DTFTs build an N x taps phase matrix, so N = 10**8 with five
-# taps would allocate 8 GB before any check ran.
+# Largest grid.  The certificates hold several complex arrays of N values
+# per filter, and the Gramian's chunks hold N fibers, so a larger grid would
+# only run out of memory after minutes of work.
 GRID_CAP = 1 << 22
+# Largest sequence index |n| a sequence file may use.  Phases n*xi lose
+# about |n| ulps: at 2^20 the Haar transform at 1/2 is off by 8.6e-11, at
+# 2^24 by 1.4e-9, beyond the low-pass tolerance of 1e-9.  (The expand
+# check, at 1e-12, feels the loss from about 2^10 on.)
+INDEX_CAP = 1 << 20
+# Phase entries per block of `dtft_at` (32 KB of complex128), for two
+# reasons.  For a filter of up to 1024 taps each block's matrix-vector
+# product has fewer than 4096 entries, the size from which OpenBLAS runs a
+# gemv on its thread pool, so a DTFT never wakes BLAS threads beside the
+# Gramian's workers.  And the memory a DTFT needs stays at its output,
+# however many points and taps there are.
+DTFT_BLOCK = 2048
 
 
 def _trim(offset: int, c: np.ndarray) -> tuple[int, np.ndarray]:
@@ -93,9 +106,10 @@ class FiniteSeq:
     @classmethod
     def from_json_obj(cls, obj) -> "FiniteSeq":
         """Read {"offset": integer, "coeffs": [tap, ...]}, each tap a finite
-        JSON number or an [re, im] pair of them.  Anything else (a bool, a
-        string, a list of another length, NaN) raises ValueError, naming
-        the bad tap's index."""
+        JSON number or an [re, im] pair of them, at indices within
+        -INDEX_CAP..INDEX_CAP.  Anything else (a bool, a string, a list of
+        another length, NaN, a far offset) raises ValueError, naming the bad
+        tap's index."""
         if not (isinstance(obj, dict) and "offset" in obj and "coeffs" in obj):
             raise ValueError('a sequence must be a JSON object with keys '
                              '"offset" and "coeffs"')
@@ -104,6 +118,10 @@ class FiniteSeq:
             raise ValueError(f"sequence offset must be an integer, got {offset!r}")
         if not isinstance(taps, list):
             raise ValueError(f"sequence coeffs must be a list, got {taps!r}")
+        last = offset + max(len(taps), 1) - 1
+        if offset < -INDEX_CAP or last > INDEX_CAP:
+            raise ValueError(f"sequence indices must lie in {-INDEX_CAP}.."
+                             f"{INDEX_CAP}, got {offset}..{last}")
         coeffs = np.asarray([_json_tap(i, c) for i, c in enumerate(taps)],
                             dtype=complex)
         return cls(offset, coeffs)
@@ -157,15 +175,27 @@ class Grid:
 def dtft_at(x: FiniteSeq, xi) -> np.ndarray:
     """Evaluate x^(xi) = sum_n x(n) exp(-2 pi i n xi) by direct summation.
 
-    `xi` may be a scalar or an array; the result has the same shape.
+    `xi` may be a scalar or an array; the result has the same shape.  The
+    points are taken in blocks of about DTFT_BLOCK // taps; a point's value
+    is the same bits whichever block it falls in.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if x.is_zero:
         out = np.zeros(xi_arr.shape, dtype=complex)
     else:
-        phase = np.exp(-2j * np.pi * np.outer(xi_arr.ravel(), x.indices))
-        out = (phase @ x.coeffs).reshape(xi_arr.shape)
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
+        flat, n = xi_arr.ravel(), x.indices
+        out = np.empty(flat.size, dtype=complex)
+        rows = max(2, DTFT_BLOCK // n.size)
+        start = 0
+        while start < flat.size:
+            # numpy runs a one-row product as a dot, whose bits differ from
+            # a gemv's, so a lone last point joins the block before it
+            stop = start + rows if flat.size - start > rows + 1 else flat.size
+            phase = np.exp(-2j * np.pi * np.outer(flat[start:stop], n))
+            np.matmul(phase, x.coeffs, out=out[start:stop])
+            start = stop
+        out = out.reshape(xi_arr.shape)
+    if np.ndim(xi) == 0:
         return out.reshape(())[()]
     return out
 

@@ -2,7 +2,8 @@
 
 None of these is used by the package: the index-aligned sequence helpers
 (`at`, `translate`, `inner`, `seq_close`, `shift_invariant_close`) state
-the tests' expectations, the dense pre-Gramian and the
+the tests' expectations, the one-matrix DTFT checks the package's blocked
+`dtft_at` bit for bit, the dense pre-Gramian and the
 time-domain iterated filters cross-check the factored Gramian fibers and
 the analysis cascade, the FiniteSeq cascade checks the package's
 array cascade bit for bit, the full recursion fibers and the full-grid
@@ -29,6 +30,21 @@ from fbstab.seqcore import (
 from fbstab.stability import sine_product_values
 
 EQ_TOL = 1e-12
+
+
+def dtft_dense(x: FiniteSeq, xi) -> np.ndarray:
+    """x^(xi) from one phase matrix over all points and taps: the same
+    exponentials and the same matrix-vector product per point as the
+    package's blocked `dtft_at`, with no blocks."""
+    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
+    if x.is_zero:
+        out = np.zeros(xi_arr.shape, dtype=complex)
+    else:
+        phase = np.exp(-2j * np.pi * np.outer(xi_arr.ravel(), x.indices))
+        out = (phase @ x.coeffs).reshape(xi_arr.shape)
+    if np.ndim(xi) == 0:
+        return out.reshape(())[()]
+    return out
 
 
 def at(x: FiniteSeq, n: int) -> complex:

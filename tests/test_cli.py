@@ -12,7 +12,7 @@ import pytest
 import fbstab.cli
 import fbstab.stability
 from fbstab.cli import main
-from fbstab.seqcore import GRID_CAP
+from fbstab.seqcore import GRID_CAP, INDEX_CAP
 from fbstab.stability import GRAMIAN_J_CAP
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -125,6 +125,82 @@ def test_certify_input_errors(tmp_path, capsys):
     for bad_opt in (["--order", "0"], ["--order", "-3"], ["--s-max", "0"]):
         assert main(fam + bad_opt) == 1
     capsys.readouterr()
+
+
+def test_sequence_file_errors_name_the_file(tmp_path, capsys):
+    good, bad = tmp_path / "a.json", tmp_path / "b.json"
+    good.write_text(json.dumps(HAAR_JSON))
+    bad.write_text(json.dumps({"offset": 0, "coeffs": ["x", 0.5]}))
+    for argv, named in (
+            (["certify", "--filter", str(good), "--highpass", str(bad)], bad),
+            (["certify", "--filter", str(bad), "--highpass", str(good)], bad),
+            (["apply", "--filter", str(good), "--signal", str(bad)], bad)):
+        capsys.readouterr()
+        assert main(argv + ["--grid", "64"] * (argv[0] == "certify")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {named}: tap 0 must be a finite number or an [re, im] "
+            "pair of finite numbers, got 'x'\n")
+    bad.write_text("not json")
+    assert main(["certify", "--filter", str(good), "--highpass", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: Expecting value")
+
+
+def test_sequence_indices_are_bounded(tmp_path, capsys):
+    s = 1 / math.sqrt(2)
+    path = tmp_path / "far.json"
+    # 10**30 escaped as an OverflowError traceback; 10**11 failed the
+    # low-pass axiom through phase round-off
+    for offset in (10 ** 30, -10 ** 30, 10 ** 11, INDEX_CAP, -INDEX_CAP - 1):
+        path.write_text(json.dumps({"offset": offset, "coeffs": [s, s]}))
+        for argv in (["certify", "--filter", str(path), "--grid", "64"],
+                     ["apply", "--family", "burt-adelson", "--a", "0.7",
+                      "--signal", str(path)]):
+            capsys.readouterr()
+            assert main(argv) == 1, (offset, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: sequence indices must lie "
+                                  f"in {-INDEX_CAP}..{INDEX_CAP}, got {offset}..")
+            assert len(err.splitlines()) == 1
+
+
+def certify_translated_haar(tmp_path, capsys, offset):
+    path = tmp_path / f"haar_{offset}.json"
+    path.write_text(json.dumps({**HAAR_JSON, "offset": offset}))
+    code, out = run(capsys, "certify", "--filter", str(path), "--grid", "512",
+                    "--order", "3")
+    report = json.loads(out)
+    for key in ("filter", "highpass"):
+        del report[key]
+    return code, report
+
+
+def assert_reports_agree(got, want, tol):
+    """Two certify reports agree: the Bessel and contraction reports and the
+    span verdict exactly, the expand, span and Gramian values within tol."""
+    assert got["bessel"] == want["bessel"]
+    assert got["contraction"] == want["contraction"]
+    assert got["span"]["verdict"] == want["span"]["verdict"]
+    values = [got["expand"]["grid_min"], got["span"]["det_min"]]
+    expected = [want["expand"]["grid_min"], want["span"]["det_min"]]
+    for g, g0 in zip(got["gramian"], want["gramian"], strict=True):
+        values += [g["lower"], g["upper"]]
+        expected += [g0["lower"], g0["upper"]]
+    assert values == pytest.approx(expected, abs=tol)
+
+
+def test_translated_haar_certifies_like_haar(tmp_path, capsys):
+    code, base = certify_translated_haar(tmp_path, capsys, 0)
+    assert code == 0
+    # the phases n*xi of a near translate stay well inside the expand
+    # tolerance, so every verdict holds; the contraction certificate is
+    # Haar's at offset 0, not a (2L + 1)^2 matrix over the offset
+    code, near = certify_translated_haar(tmp_path, capsys, (1 << 8) - 1)
+    assert code == 0
+    assert near["expand"]["verdict"] and near["pass"]
+    assert_reports_agree(near, base, 1e-12)
+    # at the index cap the run still completes, within phase round-off
+    _, far = certify_translated_haar(tmp_path, capsys, INDEX_CAP - 1)
+    assert_reports_agree(far, base, 2e-9)
 
 
 def test_certify_rejects_order_above_cap_before_work(monkeypatch, capsys):

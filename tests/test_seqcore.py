@@ -1,12 +1,15 @@
 """Tests for the sequence carrier type and the multirate operators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fbstab.seqcore import (
+    DTFT_BLOCK,
     GRID_CAP,
+    INDEX_CAP,
     FiniteSeq,
     Grid,
     convolve,
@@ -20,7 +23,7 @@ from fbstab.seqcore import (
     zero_seq,
 )
 
-from oracles import at, downsample, inner, seq_close, translate
+from oracles import at, downsample, dtft_dense, inner, seq_close, translate
 
 RNG = np.random.default_rng(2024)
 
@@ -68,6 +71,38 @@ def test_dtft_scalar_and_array_agree():
     arr = dtft_at(x, xs)
     for i, xi in enumerate(xs):
         assert abs(arr[i] - dtft_at(x, float(xi))) < 1e-12
+
+
+def test_dtft_blocks_give_the_dense_bits():
+    # point counts at and around the block boundaries of a 9-tap filter
+    x = random_seq(9)
+    rows = DTFT_BLOCK // 9
+    for count in (0, 1, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1, 1000):
+        xi = RNG.uniform(-1.0, 1.0, count)
+        assert np.array_equal(dtft_at(x, xi), dtft_dense(x, xi))
+    # fiber-shaped points, as the Gramian build passes them
+    u = (RNG.uniform(0.0, 1.0, (300, 1)) + np.arange(16)) / 16
+    assert dtft_at(x, u).shape == u.shape
+    assert np.array_equal(dtft_at(x, u), dtft_dense(x, u))
+    # a scalar, the zero sequence, and more taps than one block holds
+    assert dtft_at(x, 0.3) == dtft_dense(x, 0.3)
+    assert np.ndim(dtft_at(x, 0.3)) == 0
+    assert np.array_equal(dtft_at(zero_seq(), u), np.zeros(u.shape))
+    wide = random_seq(DTFT_BLOCK + 5)
+    xi = RNG.uniform(0.0, 1.0, 7)
+    assert np.array_equal(dtft_at(wide, xi), dtft_dense(wide, xi))
+
+
+def test_dtft_memory_stays_at_its_output():
+    x = random_seq(9)
+    xi = Grid(1 << 20).points
+    tracemalloc.start()
+    try:
+        out = dtft_at(x, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
 
 
 def test_convolution_theorem():
@@ -178,6 +213,17 @@ def test_json_rejects_bad_taps_by_index():
     x = FiniteSeq.from_json_obj({"offset": -1, "coeffs": [1, [2, -3], 0.25]})
     assert x.offset == -1
     assert list(x.coeffs) == [1, 2 - 3j, 0.25]
+
+
+def test_json_bounds_the_indices():
+    for offset, taps in ((-INDEX_CAP, 1), (INDEX_CAP - 1, 2), (INDEX_CAP, 1),
+                         (-INDEX_CAP, 0)):
+        x = FiniteSeq.from_json_obj({"offset": offset, "coeffs": [0.5] * taps})
+        assert x.offset == (offset if taps else 0)
+    for offset, taps in ((INDEX_CAP, 2), (-INDEX_CAP - 1, 1), (10 ** 30, 1),
+                         (-10 ** 30, 0)):
+        with pytest.raises(ValueError, match=r"^sequence indices must lie in"):
+            FiniteSeq.from_json_obj({"offset": offset, "coeffs": [0.5] * taps})
 
 
 def test_centered_points_cover_half_open_interval():
