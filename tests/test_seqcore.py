@@ -74,7 +74,8 @@ def test_dtft_scalar_and_array_agree():
 
 
 def test_dtft_blocks_give_the_dense_bits():
-    # point counts at and around the block boundaries of a 9-tap filter
+    # point counts at and around the block boundaries of a 9-tap filter;
+    # rows + 1 and 2 * rows + 1 leave a lone point past a full block
     x = random_seq(9)
     rows = DTFT_BLOCK // 9
     for count in (0, 1, rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1, 1000):
