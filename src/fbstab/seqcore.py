@@ -10,6 +10,7 @@ levels it hands out, so both paths give the same bits.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ TRIM_TOL = 1e-14
 # per filter, and the Gramian's chunks hold N fibers, so a larger grid would
 # only run out of memory after minutes of work.
 GRID_CAP = 1 << 22
-# Largest sequence index |n| a sequence file may use.  Phases n*xi lose
+# Largest sequence index |n| a FiniteSeq may hold.  Phases n*xi lose
 # about |n| ulps: at 2^20 the Haar transform at 1/2 is off by 8.6e-11, at
 # 2^24 by 1.4e-9, beyond the low-pass tolerance of 1e-9.  (The expand
 # check, at 1e-12, feels the loss from about 2^10 on.)
@@ -48,6 +49,11 @@ def _trim(offset: int, c: np.ndarray) -> tuple[int, np.ndarray]:
     return offset + int(nz[0]), c[nz[0]:nz[-1] + 1]
 
 
+def _is_int(v) -> bool:
+    """Whether v is an integer, a numpy integer included; a bool is not."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _energy(c: np.ndarray) -> float:
     """sum |c|^2, the squared l2 norm of a coefficient array."""
     return float((np.abs(c) ** 2).sum())
@@ -61,7 +67,8 @@ class FiniteSeq:
     representation is canonical: leading/trailing coefficients with
     magnitude at most ``TRIM_TOL`` are dropped on construction (NaN is
     kept, so that the filter checks see it), and the zero sequence is
-    stored as an empty array with offset 0.
+    stored as an empty array with offset 0.  Every index offset + i, and
+    the offset of an empty array, must lie in -INDEX_CAP..INDEX_CAP.
     """
 
     offset: int
@@ -69,7 +76,13 @@ class FiniteSeq:
 
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        offset, c = _trim(int(self.offset), c)
+        # checked before the trim, which moves an all-zero sequence to 0
+        first = int(self.offset)
+        last = first + max(c.size, 1) - 1
+        if first < -INDEX_CAP or last > INDEX_CAP:
+            raise ValueError(f"sequence indices must lie in {-INDEX_CAP}.."
+                             f"{INDEX_CAP}, got {first}..{last}")
+        offset, c = _trim(first, c)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "coeffs", c.copy())
         self.coeffs.setflags(write=False)
@@ -118,10 +131,6 @@ class FiniteSeq:
             raise ValueError(f"sequence offset must be an integer, got {offset!r}")
         if not isinstance(taps, list):
             raise ValueError(f"sequence coeffs must be a list, got {taps!r}")
-        last = offset + max(len(taps), 1) - 1
-        if offset < -INDEX_CAP or last > INDEX_CAP:
-            raise ValueError(f"sequence indices must lie in {-INDEX_CAP}.."
-                             f"{INDEX_CAP}, got {offset}..{last}")
         coeffs = np.asarray([_json_tap(i, c) for i, c in enumerate(taps)],
                             dtype=complex)
         return cls(offset, coeffs)
@@ -153,13 +162,16 @@ def zero_seq() -> FiniteSeq:
 
 @dataclass(frozen=True)
 class Grid:
-    """Equispaced evaluation grid xi_m = m/N on the circle, m = 0..N-1."""
+    """Equispaced evaluation grid xi_m = m/N on the circle, m = 0..N-1; N
+    is an integer (a numpy integer is stored as int)."""
 
     size: int
 
     def __post_init__(self):
-        if not 2 <= self.size <= GRID_CAP:
-            raise ValueError(f"grid size must be in 2..{GRID_CAP}, got {self.size}")
+        if not (_is_int(self.size) and 2 <= self.size <= GRID_CAP):
+            raise ValueError(f"grid size must be in 2..{GRID_CAP} and an integer, "
+                             f"got {self.size}")
+        object.__setattr__(self, "size", int(self.size))
 
     @property
     def points(self) -> np.ndarray:

@@ -11,7 +11,6 @@ sampled estimates, with the grid size recorded so users can refine.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from itertools import islice
@@ -23,6 +22,7 @@ from .iterate import J_MAX, _analysis_filters, _cascade_energies, lowpass_residu
 from .seqcore import (
     FiniteSeq,
     Grid,
+    _is_int,
     convolve,
     dtft_at,
     dtft_grid,
@@ -39,12 +39,16 @@ TOL_EXPAND = 1e-12
 GRAMIAN_J_CAP = 10
 # slack of the bound-transfer containment tests
 TOL_TRANSFER = 1e-6
-# threads that share each chunk's batched SVD: one per CPU this process may use
+# most threads that walk the Gramian grid: one per CPU this process may use
 SVD_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# SVD work (fibers x 8^j) each thread must get for a split to pay: smaller
-# batches run on the calling thread, because starting threads beside BLAS's
-# own for a few milliseconds of solving slowed bound_transfer_check (j <= 3)
+# SVD work (fibers x 8^J) of one chunk that each worker must get before the
+# grid is walked on a thread pool.  Below it the pool costs more than it
+# saves.  Measured on a 2-core host with the floor forced to 1: an order-3
+# gramian_profile on 1024 points took 10.6 ms of CPU against 8.5 ms on the
+# calling thread (whose CPU time equals its wall time, so no BLAS thread
+# is at work), and bound_transfer_check ran about 20% longer, though the
+# pool built 513 fibers instead of 1024.
 SVD_PART_WORK = 1 << 22
 
 
@@ -301,8 +305,9 @@ class GramianReport:
 
 
 def _check_gramian_order(j: int) -> None:
-    if not 1 <= j <= GRAMIAN_J_CAP:
-        raise ValueError(f"gramian order must be in 1..{GRAMIAN_J_CAP}, got {j}")
+    if not (_is_int(j) and 1 <= j <= GRAMIAN_J_CAP):
+        raise ValueError(f"gramian order must be in 1..{GRAMIAN_J_CAP} and an "
+                         f"integer, got {j}")
 
 
 def _sv_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
@@ -314,76 +319,62 @@ def _sv_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
             max(float(np.max(sv[:, 0])), float(np.max(a, initial=0.0))))
 
 
-def _part_extremes(pair: FilterPair, orders: range, xi: np.ndarray,
-                   count: int | None = None) -> list[tuple[float, float]]:
-    """_sv_extremes of the first `count` fibers at xi (all by default), for
-    each order, from one build; the build is released when this returns."""
-    pieces = gramian_fibers(pair, orders[-1], xi)
-    return [_sv_extremes(*(v[:count] for v in pieces[j - 1])) for j in orders]
-
-
-def _chunk_extremes(pool, pair: FilterPair, orders: range, xi: np.ndarray,
-                    count: int) -> list[tuple[float, float]]:
-    """_part_extremes of the first `count` points of the chunk xi.
-
-    A chunk with at least SVD_PART_WORK (fibers x 8^J) per worker has its
-    solved points split into one contiguous part per worker, and each part
-    is built and solved on the pool; a smaller chunk is built whole and
-    solved on the calling thread.  The split is decided from the whole
-    chunk, not the solved count, so a last chunk that solves a few points
-    builds just those on the pool instead of all of it here."""
-    workers = min(SVD_WORKERS, len(xi) * 8 ** orders[-1] // SVD_PART_WORK)
-    if workers <= 1:
-        return _part_extremes(pair, orders, xi, count)
-    parts = [part for part in np.array_split(xi[:count], workers) if len(part)]
-    per_part = pool.map(lambda part: _part_extremes(pair, orders, part), parts)
-    return [(min(lo for lo, _ in ext), max(hi for _, hi in ext))
-            for ext in zip(*per_part)]
+def _walk_extremes(pair: FilterPair, orders: range, pts: np.ndarray, count: int,
+                   step: int) -> list[list[tuple[float, float]]]:
+    """_sv_extremes of every order for each build of the first `count`
+    fibers at pts: the points are built `step` at a time, each build up to
+    the highest order, and each build is released before the next is made.
+    A build's last points beyond `count` are built but not solved."""
+    found = []
+    for start in range(0, count, step):
+        pieces = gramian_fibers(pair, orders[-1], pts[start:start + step])
+        found.append([_sv_extremes(*(v[:count - start] for v in pieces[j - 1]))
+                      for j in orders])
+        del pieces
+    return found
 
 
 def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[GramianReport]:
     """One GramianReport per order, from one pass over the grid.
 
-    Each order is solved from its pieces (see gramian_fibers).  For a
-    channel-orthogonal pair (sum_n conj g(n) h(n + 2m) = 0 for every m,
-    as for every orthogonal_highpass pair) the 2 x 2 blocks of the order
-    recursion have orthogonal columns, with norms a_q and c_q, so
-    sigma(X_k) = {a_q} U sigma(diag(c) X_(k-1)) and the SVD runs on
-    2^(k-1)-square matrices; any other pair is solved on the full 2^k-square
-    fibers.
+    Each order is solved from its pieces (see gramian_fibers, which also
+    derives the half-size solve of a channel-orthogonal pair).  When g and
+    h have real taps, g^(-u) = conj g^(u), so the fiber at (N - m)/N is the
+    complex conjugate of the fiber at m/N up to row and column permutations
+    and has the same singular values; only the points m = 0..N//2 are then
+    solved.  A pair with complex taps keeps all N.
 
-    When g and h have real taps, g^(-u) = conj g^(u), so the fiber at
-    (N - m)/N is the complex conjugate of the fiber at m/N up to row and
-    column permutations and has the same singular values; only the points
-    m = 0..N//2 are then solved.  A pair with complex taps keeps all N.
-    The grid is walked a chunk at a time, and every requested order is
-    solved from one build of the chunk's fibers, up to the highest order,
-    before the next chunk is built.  A chunk with at least SVD_PART_WORK
-    (fibers x 8^J) of work per usable CPU (SVD_WORKERS, from the process's
-    CPU affinity; there is no knob) has only its solved points built: they
-    are split into one contiguous part per CPU, and each part is built and
-    solved on a thread pool, since numpy and LAPACK release the GIL for
-    most of that work.  A smaller chunk is built whole and solved on the
-    calling thread.  Each fiber's build and SVD do not depend on the batch
-    it sits in, so the bounds are bit-identical for every split and every
-    chunk size.
+    The grid is walked once (_walk_extremes), and every requested order is
+    solved from each build.  The worker count is picked once per call: one
+    per usable CPU (SVD_WORKERS, from the process's CPU affinity; there is
+    no knob), but only as many as get SVD_PART_WORK (fibers x 8^J) each
+    from one chunk (or the whole grid, if smaller), and no more than there
+    are solved points.  With one worker the calling thread walks the grid
+    in whole chunks.  With more, each worker of a thread pool walks one
+    contiguous range of the solved points, in builds of its share of a
+    chunk, since numpy and LAPACK release the GIL for most of that work.
+    Each fiber's build and SVD do not depend on the batch it sits in, so
+    the bounds are bit-identical for every worker count and chunk size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     chunk = (1 << 22) >> (2 * orders[-1])
     stop = grid.size // 2 + 1 if pair.h.is_real and pair.g.is_real else grid.size
-    lower = [math.inf] * len(orders)
-    upper = [0.0] * len(orders)
     pts = grid.points
-    with ThreadPoolExecutor(SVD_WORKERS) as pool:
-        for start in range(0, stop, chunk):
-            extremes = _chunk_extremes(pool, pair, orders, pts[start:start + chunk],
-                                       stop - start)
-            for i, (lo, hi) in enumerate(extremes):
-                lower[i] = min(lower[i], lo ** 2)
-                upper[i] = max(upper[i], hi ** 2)
-    return [GramianReport(order=j, lower=lo, upper=hi, grid=grid.size)
-            for j, lo, hi in zip(orders, lower, upper)]
+    workers = min(SVD_WORKERS, stop,
+                  min(chunk, grid.size) * 8 ** orders[-1] // SVD_PART_WORK)
+    if workers <= 1:
+        found = _walk_extremes(pair, orders, pts, stop, chunk)
+    else:
+        step = -(-chunk // workers)
+        with ThreadPoolExecutor(workers) as pool:
+            walks = pool.map(lambda part: _walk_extremes(pair, orders, part, len(part), step),
+                             np.array_split(pts[:stop], workers))
+            found = [build for walk in walks for build in walk]
+    # sigma >= 0, so the square of the least sigma is the least square
+    return [GramianReport(order=j, lower=min(lo for lo, _ in ext) ** 2,
+                          upper=max(hi for _, hi in ext) ** 2, grid=grid.size)
+            for j, ext in zip(orders, zip(*found))]
 
 
 def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
@@ -396,14 +387,9 @@ def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
 
 def gramian_profile(pair: FilterPair, j_max: int, grid: Grid) -> list[GramianReport]:
     """[gramian_bounds(pair, j, grid) for j in 1..j_max], equal report for
-    report, from one pass: each chunk's order-j_max build supplies the
-    pieces of every lower order too (see _gramian_reports).
-
-    For a channel-orthogonal pair, sum_n conj g(n) h(n + 2m) = 0 for every
-    m, the singular values of X_k are the column norms a_q of the order's
-    2 x 2 blocks together with those of diag(c) X_(k-1), c_q the other
-    column norms, so each order costs an SVD of half the size; other pairs
-    are solved on the full fibers."""
+    report, from one pass: each order-j_max build supplies the pieces of
+    every lower order too (see _gramian_reports; gramian_fibers gives the
+    half-size pieces of a channel-orthogonal pair)."""
     _check_gramian_order(j_max)
     return _gramian_reports(pair, range(1, j_max + 1), grid)
 
@@ -443,9 +429,9 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     A_j must satisfy A_j >= min{A, A/B} - tol, and every sampled quotient
     must land inside the transferred finite-order envelope
     [min{A*, A*/B*} - tol, max{B*, B*/A*} + tol] with A* = min_j A_j,
-    B* = max_j B_j and tol = TOL_TRANSFER.  j_max must lie in
-    1..GRAMIAN_J_CAP, n_signals must be an integer >= 1 and seed an
-    integer >= 0; all three are checked before any work.
+    B* = max_j B_j and tol = TOL_TRANSFER.  j_max must be an integer in
+    1..GRAMIAN_J_CAP, n_signals an integer >= 1 and seed an integer >= 0,
+    none of them a bool; all three are checked before any work.
 
     Channel sums are truncated once the cumulative residual energy falls
     below 1e-8; for banks where it never does, the depth is capped at 16
@@ -453,7 +439,7 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     """
     _check_gramian_order(j_max)
     for name, value, least in (("n_signals", n_signals, 1), ("seed", seed, 0)):
-        if not isinstance(value, numbers.Integral) or value < least:
+        if not _is_int(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     reports = gramian_profile(pair, j_max, grid)
     a_star = min(r.lower for r in reports)

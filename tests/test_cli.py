@@ -464,7 +464,8 @@ def test_certify_builds_each_solved_gramian_point_once(monkeypatch, tmp_path):
         return build(pair, j, xi)
 
     monkeypatch.setattr(fbstab.stability, "gramian_fibers", recording_build)
-    # j = 6 solves m = 0..1024 of the grid, in chunks of 1024 points
+    # j = 6 solves m = 0..1024 of the grid, in builds of at most a chunk,
+    # 1024 points
     assert main(["certify", "--family", "burt-adelson", "--a", "0.7",
                  "--grid", "2048", "--order", "6",
                  "--out", str(tmp_path / "r.json")]) == 0

@@ -227,6 +227,28 @@ def test_json_bounds_the_indices():
             FiniteSeq.from_json_obj({"offset": offset, "coeffs": [0.5] * taps})
 
 
+def test_finiteseq_bounds_its_indices():
+    # checked before the trim: an all-zero array far out is rejected too
+    for offset, coeffs in ((10 ** 30, [1.0]), (-10 ** 30, []), (INDEX_CAP, [1.0, 1.0]),
+                           (-INDEX_CAP - 1, [0.0])):
+        with pytest.raises(ValueError, match=r"^sequence indices must lie in"):
+            seq(offset, coeffs)
+    # an operator whose result leaves the range fails the same way
+    with pytest.raises(ValueError, match=r"^sequence indices must lie in"):
+        upsample(seq(1, [1.0]), 21)
+    assert seq(INDEX_CAP, [1.0]).support == (INDEX_CAP, INDEX_CAP)
+    assert seq(-INDEX_CAP, [0.0, 1.0]).offset == -INDEX_CAP + 1
+    assert dtft_at(seq(INDEX_CAP - 1, [1.0]), 0.5) == pytest.approx(-1.0)
+
+
+def test_grid_size_must_be_an_integer():
+    for size in (64.5, 64.0, np.float64(64), True):
+        with pytest.raises(ValueError, match=r"^grid size must be in 2\.\."):
+            Grid(size)
+    grid = Grid(np.int64(64))
+    assert grid == Grid(64) and type(grid.size) is int
+
+
 def test_centered_points_cover_half_open_interval():
     xi = Grid(8).centered_points
     assert xi.min() == -0.5

@@ -497,7 +497,9 @@ def test_gramian_bounds_with_fewer_fibers_than_workers(pair, size, monkeypatch):
 
 
 def test_gramian_bounds_with_one_fiber_in_last_chunk(monkeypatch):
-    # j = 6 solves m = 0..1024 in chunks of 1024 fibers: the last holds one
+    # j = 6 solves m = 0..1024, and a chunk holds 1024 points: the calling
+    # thread's second build solves one fiber of a whole chunk, and with two
+    # workers the first walk's second build holds one fiber
     _assert_same_for_every_worker_count(ba_pair(0.7), 6, Grid(2048), monkeypatch)
 
 
@@ -506,7 +508,8 @@ def test_gramian_bounds_with_one_fiber_in_last_chunk(monkeypatch):
                          ids=["ba-0.7", "ho-1.0", "ba-0.7-complex"])
 @pytest.mark.parametrize("size", [63, 64, 2048])
 def test_gramian_profile_equals_bounds_of_each_order(pair, size, monkeypatch):
-    # at J = 6 a 2048-point grid takes two chunks of 1024 fibers
+    # at J = 6 a chunk holds 1024 points, so one worker walks a 2048-point
+    # grid in two builds
     grid = Grid(size)
     expected = [gramian_bounds(pair, j, grid) for j in range(1, 7)]
     monkeypatch.setattr(fbstab.stability, "SVD_PART_WORK", 1)
@@ -525,11 +528,11 @@ def test_gramian_small_batches_stay_on_calling_thread(monkeypatch):
 
     monkeypatch.setattr(fbstab.stability, "_sv_extremes", recording_solve)
     monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 2)
-    # 513 fibers of 8 x 8: 513 * 8^3 is below SVD_PART_WORK
+    # 1024 points of 8 x 8: 1024 * 8^3 is below SVD_PART_WORK
     gramian_bounds(ba_pair(0.7), 3, Grid(1024))
     assert threads == [threading.get_ident()]
     threads.clear()
-    # 2049 fibers of 16 x 16: 2049 * 8^4 is two parts of SVD_PART_WORK
+    # 4096 points of 16 x 16: 4096 * 8^4 is four SVD_PART_WORKs
     gramian_bounds(ba_pair(0.7), 4, Grid(4096))
     assert len(threads) == 2 and threading.get_ident() not in threads
 
@@ -551,6 +554,34 @@ def test_gramian_split_chunks_build_only_solved_points(monkeypatch):
         gramian_bounds(pair, 4, Grid(4096))
         assert sum(n for _, n in built) == solved
         assert threading.get_ident() not in {t for t, _ in built}
+
+
+def test_gramian_pool_walks_one_contiguous_range_per_worker(monkeypatch):
+    build = fbstab.stability.gramian_fibers
+    lock = threading.Lock()
+    walks = {}
+
+    def recording_build(pair, j, xi):
+        with lock:
+            walks.setdefault(threading.get_ident(), []).append(xi.copy())
+        return build(pair, j, xi)
+
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", recording_build)
+    monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 2)
+    grid = Grid(4096)
+    # j = 6 solves three chunks' worth of 1024 points (all four for the
+    # complex pair); each worker walks its half in builds of half a chunk
+    for pair, solved in ((ba_pair(0.7), 2049),
+                         (_with_highpass(ba_pair(0.7), [1.0, 0.3j]), 4096)):
+        walks.clear()
+        gramian_bounds(pair, 6, grid)
+        assert threading.get_ident() not in walks
+        builds = [xi for walk in walks.values() for xi in walk]
+        assert max(len(xi) for xi in builds) <= 512
+        assert sum(len(xi) for xi in builds) == solved
+        for walk in walks.values():
+            m = np.rint(np.concatenate(walk) * grid.size).astype(int)
+            assert np.array_equal(m, np.arange(m[0], m[0] + len(m)))
 
 
 def test_gramian_split_chunk_peak_is_below_one_whole_build(monkeypatch):
@@ -623,8 +654,8 @@ def test_gramian_bounds_memory_stays_at_fiber_peak(monkeypatch):
 @pytest.mark.parametrize("solve", [gramian_bounds, gramian_profile],
                          ids=["bounds", "profile"])
 def test_gramian_memory_stays_at_one_chunk_over_several_chunks(solve):
-    # j = 6 solves m = 0..2048 of a 4096-point grid in three chunks of 1024;
-    # each chunk must be released before the next one is built
+    # j = 6 solves m = 0..2048 of a 4096-point grid, three chunks' worth of
+    # 1024 points; each walk must release a build before it makes the next
     pair = ba_pair(0.7)
     grid = Grid(4096)
     tracemalloc.start()
@@ -658,6 +689,22 @@ def test_gramian_order_validation():
         gramian_bounds(haar_pair(), 11, GRID)
     with pytest.raises(ValueError):
         gramian_dense(haar_pair(), 5, 0.0)
+
+
+def test_gramian_order_must_be_an_integer(monkeypatch):
+    pair = ba_pair(0.7)
+    expected = gramian_profile(pair, 2, Grid(64))
+    assert gramian_bounds(pair, np.int64(2), Grid(64)) == expected[-1]
+    assert gramian_profile(pair, np.int8(2), Grid(64)) == expected
+
+    def no_work(*args):
+        raise AssertionError("a Gramian order was built")
+
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", no_work)
+    for j in (2.0, np.float64(2), True):
+        for solve in (gramian_bounds, gramian_profile):
+            with pytest.raises(ValueError, match="gramian order must be in"):
+                solve(pair, j, Grid(64))
 
 
 def test_rayleigh_quotient_containment():
@@ -703,7 +750,7 @@ def test_bound_transfer_rejects_orders_outside_cap_before_work(monkeypatch):
 
     monkeypatch.setattr(fbstab.stability, "gramian_profile", no_work)
     monkeypatch.setattr(fbstab.stability, "gramian_fibers", no_work)
-    for j_max in (0, -1, fbstab.stability.GRAMIAN_J_CAP + 1):
+    for j_max in (0, -1, fbstab.stability.GRAMIAN_J_CAP + 1, 2.0, True):
         with pytest.raises(ValueError, match="gramian order must be in"):
             bound_transfer_check(haar_pair(), j_max, GRID)
 
@@ -715,10 +762,16 @@ def test_bound_transfer_rejects_bad_signal_arguments_before_work(monkeypatch):
     monkeypatch.setattr(fbstab.stability, "gramian_profile", no_work)
     monkeypatch.setattr(fbstab.stability, "gramian_fibers", no_work)
     for n_signals, seed, name in ((0, 0, "n_signals"), (-3, 0, "n_signals"),
-                                  (2.5, 0, "n_signals"), (64, -1, "seed"),
-                                  (64, 1.5, "seed")):
+                                  (2.5, 0, "n_signals"), (True, 0, "n_signals"),
+                                  (64, -1, "seed"), (64, 1.5, "seed"),
+                                  (64, False, "seed")):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             bound_transfer_check(haar_pair(), 2, GRID, n_signals=n_signals, seed=seed)
+    monkeypatch.undo()
+    # numpy integers are integers
+    assert (bound_transfer_check(ba_pair(0.7), 2, Grid(64), n_signals=np.int64(4),
+                                 seed=np.uint8(3))
+            == bound_transfer_check(ba_pair(0.7), 2, Grid(64), n_signals=4, seed=3))
 
 
 def test_bound_transfer_involutes_the_filters_once(monkeypatch):
