@@ -23,11 +23,9 @@ from .seqcore import (
     FiniteSeq,
     Grid,
     _is_int,
-    convolve,
     dtft_at,
     dtft_grid,
     norm_sq,
-    upsample,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -39,17 +37,22 @@ TOL_EXPAND = 1e-12
 GRAMIAN_J_CAP = 10
 # slack of the bound-transfer containment tests
 TOL_TRANSFER = 1e-6
-# most threads that walk the Gramian grid: one per CPU this process may use
+# most threads that walk the Gramian grid, each building and solving its
+# fibers: one per CPU this process may use
 SVD_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-# SVD work (fibers x 8^J) of one chunk that each worker must get before the
-# grid is walked on a thread pool.  Below it the pool costs more than it
-# saves.  Measured on a 2-core host with the floor forced to 1: an order-3
-# gramian_profile on 1024 points took 10.6 ms of CPU against 8.5 ms on the
-# calling thread (whose CPU time equals its wall time, so no BLAS thread
-# is at work), and bound_transfer_check ran about 20% longer, though the
-# pool built 513 fibers instead of 1024.
+# Solve work (fibers x 8^J, the cost order of a dense solve of 2^J-square
+# fibers) of one chunk that each worker must get before the grid is walked
+# on a thread pool.  Below it the pool costs more than it saves.  Measured
+# on a 2-core host with the floor forced to 1 (when the solve was an SVD):
+# an order-3 gramian_profile on 1024 points took 10.6 ms of CPU against
+# 8.5 ms on the calling thread, and bound_transfer_check ran about 20%
+# longer, though the pool built 513 fibers instead of 1024.
 SVD_PART_WORK = 1 << 22
+# Gram entries per eigvalsh call of the real Gramian solve (128 KB), so
+# the Gram matrices stay small beside the build; slices cost 4-12% of a
+# j = 6 solve against one call per build (2-core host, one BLAS thread).
+GRAM_SLICE = 1 << 14
 
 
 class GridTooCoarseError(ValueError):
@@ -87,10 +90,21 @@ class BesselCertificate:
 
 
 def dilated_product(p: FiniteSeq, s: int) -> FiniteSeq:
-    """Sequence whose transform is prod_{k=0}^{s-1} p^(2^k xi)."""
+    """Sequence whose transform is prod_{k=0}^{s-1} p^(2^k xi).
+
+    Level k is q_k = sum_t p(t) q_(k-1)(. - 2^k t), one strided add per tap
+    of p, in O(len q * taps p); each level is trimmed as a FiniteSeq.
+    """
+    if p.is_zero:
+        return p
     q = p
     for k in range(1, s):
-        q = convolve(q, upsample(p, k))
+        step = 1 << k
+        n = q.coeffs.size
+        out = np.zeros(n + step * (p.coeffs.size - 1), dtype=complex)
+        for t, c in enumerate(p.coeffs):
+            out[step * t:step * t + n] += c * q.coeffs
+        q = FiniteSeq(q.offset + step * p.offset, out)
     return q
 
 
@@ -241,6 +255,43 @@ def _block_column_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.abs(v[:, :K]) ** 2 + np.abs(v[:, K:]) ** 2)
 
 
+def _linear_phase(x: FiniteSeq) -> tuple[int, bool] | None:
+    """(c, antisymmetric) when x has real taps, symmetric or antisymmetric
+    (tested exactly) about c/2 with c = lo + hi; else None.  Then
+    x^(u) = beta e^(-i pi c u) R(u) with R real, and beta = 1 or -i."""
+    c = x.coeffs
+    if x.is_zero or np.any(c.imag):
+        return None
+    lo, hi = x.support
+    if np.array_equal(c, c[::-1]):
+        return lo + hi, False
+    if np.array_equal(c, -c[::-1]):
+        return lo + hi, True
+    return None
+
+
+def _real_form(pair: FilterPair) -> tuple[tuple[int, bool], tuple[int, bool], int] | None:
+    """(_linear_phase(g), _linear_phase(h), s = (-1)^((c_g - c_h)/2)) when
+    both are linear phase and c_g - c_h is even (as for every
+    orthogonal_highpass pair of a symmetric h: c_g = 2 - c_h); else None."""
+    g, h = _linear_phase(pair.g), _linear_phase(pair.h)
+    if g is None or h is None or (g[0] - h[0]) % 2:
+        return None
+    return g, h, -1 if (g[0] - h[0]) // 2 % 2 else 1
+
+
+def _dephased(v: np.ndarray, form: tuple[int, bool], xi: np.ndarray, k: int) -> np.ndarray:
+    """R(u) = Re(conj(beta) e^(i pi c u) v(u)) at u = 2^-k (xi + q), q over
+    the last axis of v, for a filter of _linear_phase `form`; the phase is
+    an outer product of one exp per point and one per q."""
+    c, antisymmetric = form
+    phase = (np.exp(1j * np.pi * c * 2.0 ** -k * xi)[:, None]
+             * np.exp(1j * np.pi * c * 2.0 ** -k * np.arange(v.shape[-1]))[None, :])
+    phase *= v
+    # conj(beta) = i for beta = -i, and Re(i z) = -Im(z)
+    return -phase.imag if antisymmetric else phase.real
+
+
 def gramian_fibers(pair: FilterPair, j: int,
                    xi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """The solve pieces [(a_1, M_1), ..., (a_j, M_j)] of the fibers X_k(xi)
@@ -255,6 +306,15 @@ def gramian_fibers(pair: FilterPair, j: int,
     block-Fourier factor relating X_k to the dense pre-Gramian is omitted;
     it does not change singular values.
 
+    For a linear-phase pair (_real_form) the pieces are real (float64).
+    With a_k, b_k the real R values of g_k, h_k (_dephased), the recursion
+    with row q [sigma_q a_k(q) e_(q mod K), b_k(q) R_(k-1)[q mod K]],
+    sigma_q = 1 for q < K and s for q >= K, gives X_k = D_L R_k D_R with
+    diagonal unitary D_L, D_R: once each row is scaled so that h's phase
+    cancels, the two entries of a left-block column differ in phase by
+    e^(-i pi (c_g - c_h)/2) = s, and a column scaling removes the rest.
+    So R_k has the singular values of X_k.
+
     Up to a row permutation, Y_k is K independent 2 x 2 blocks
     [[g_k(q), h_k(q)], [g_k(q + K), h_k(q + K)]], q < K.  When the pair is
     channel-orthogonal (_channel_orthogonal), each block has orthogonal
@@ -266,16 +326,23 @@ def gramian_fibers(pair: FilterPair, j: int,
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     split = _channel_orthogonal(pair)
-    X = np.ones((xi.shape[0], 1, 1), dtype=complex)
+    real = _real_form(pair)
+    dtype = float if real else complex
+    X = np.ones((xi.shape[0], 1, 1), dtype=dtype)
     pieces = []
     for k in range(1, j + 1):
         K = 1 << (k - 1)
         u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (-k))
         g_k = dtft_at(pair.g, u) / SQRT2
         h_k = dtft_at(pair.h, u) / SQRT2
+        if real:
+            g_form, h_form, s = real
+            g_k = _dephased(g_k, g_form, xi, k)
+            h_k = _dephased(h_k, h_form, xi, k)
+            g_k[:, K:] *= s
         Y = None
         if k < j or not split:
-            Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=complex)
+            Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=dtype)
             rows = np.arange(2 * K)
             Y[:, rows, rows % K] = g_k
             np.multiply(h_k[:, :K, None], X, out=Y[:, :K, K:])
@@ -292,8 +359,8 @@ def gramian_fibers(pair: FilterPair, j: int,
 
 @dataclass(frozen=True)
 class GramianReport:
-    """Exact frame bounds of the order-j finite bank from fiber singular
-    values sampled over the grid."""
+    """Exact frame bounds of the order-j finite bank from the squared fiber
+    singular values sampled over the grid."""
 
     order: int
     lower: float
@@ -310,25 +377,59 @@ def _check_gramian_order(j: int) -> None:
                          f"integer, got {j}")
 
 
-def _sv_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
-    """(min sigma_min, max sigma_max) over a batch of fibers given by their
-    solve pieces (see gramian_fibers): the entries of a and the singular
-    values of M."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    return (min(float(np.min(sv[:, -1])), float(np.min(a, initial=math.inf))),
-            max(float(np.max(sv[:, 0])), float(np.max(a, initial=0.0))))
+def _piece_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
+    """(min sigma^2, max sigma^2), the lower clamped at 0, over a batch of
+    fibers given by their solve pieces (see gramian_fibers): the squared
+    entries of a and the squared singular values of M.  Each fiber's value
+    does not depend on the slice or batch it sits in.
+
+    A real M is solved by eigvalsh of its Gram matrices M^T M, in slices of
+    at most GRAM_SLICE entries.  That squares the condition number: the
+    eigenvalues of an n x n fiber are off by about n eps sigma_max^2, where
+    an SVD is off by about 2 eps sigma_min sigma_max.  A_j sits on fibers
+    with a small sigma_max: over the 88 benchmark candidates (B_j / A_j up
+    to 31) every bound stays within 1.4e-15 (relative) of the SVD's, and
+    within 1.6e-15 for ba a = 2.0, where B_6 / A_6 is 9.3e5 on Grid(256);
+    far below the grid's own sampling error (about 1e-7).  A singular
+    fiber reads 0, not round-off of order 1e-33.
+
+    A complex M keeps the SVD: its Gram solve is no faster on one thread,
+    and from 64 x 64 fibers on its zgemm and zheevd wake OpenBLAS threads
+    beside the Gramian workers, which doubled a complex certify --order 6
+    on a 2-core host.
+    """
+    if np.iscomplexobj(M):
+        sv = np.linalg.svd(M, compute_uv=False)
+        lo, hi = float(np.min(sv[:, -1])) ** 2, float(np.max(sv[:, 0])) ** 2
+    else:
+        n = M.shape[-1]
+        # numpy holds the GIL through a linalg or matmul call over at most
+        # 500 matrix rows, which would keep the Gramian workers from
+        # overlapping
+        step = max(1, GRAM_SLICE // (n * n), 512 // n)
+        lo, hi = math.inf, 0.0
+        for start in range(0, M.shape[0], step):
+            m = M[start:start + step]
+            # the transposed view of m itself lets numpy form m^T m by one
+            # symmetric rank-k update, with no copy
+            w = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
+            lo = min(lo, float(np.min(w[:, 0])))
+            hi = max(hi, float(np.max(w[:, -1])))
+    a2 = a ** 2
+    return (max(0.0, min(lo, float(np.min(a2, initial=math.inf)))),
+            max(hi, float(np.max(a2, initial=0.0))))
 
 
 def _walk_extremes(pair: FilterPair, orders: range, pts: np.ndarray, count: int,
                    step: int) -> list[list[tuple[float, float]]]:
-    """_sv_extremes of every order for each build of the first `count`
+    """_piece_extremes of every order for each build of the first `count`
     fibers at pts: the points are built `step` at a time, each build up to
     the highest order, and each build is released before the next is made.
     A build's last points beyond `count` are built but not solved."""
     found = []
     for start in range(0, count, step):
         pieces = gramian_fibers(pair, orders[-1], pts[start:start + step])
-        found.append([_sv_extremes(*(v[:count - start] for v in pieces[j - 1]))
+        found.append([_piece_extremes(*(v[:count - start] for v in pieces[j - 1]))
                       for j in orders])
         del pieces
     return found
@@ -353,7 +454,7 @@ def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[Gramia
     in whole chunks.  With more, each worker of a thread pool walks one
     contiguous range of the solved points, in builds of its share of a
     chunk, since numpy and LAPACK release the GIL for most of that work.
-    Each fiber's build and SVD do not depend on the batch it sits in, so
+    Each fiber's build and solve do not depend on the batch it sits in, so
     the bounds are bit-identical for every worker count and chunk size.
     """
     from concurrent.futures import ThreadPoolExecutor
@@ -371,9 +472,8 @@ def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[Gramia
             walks = pool.map(lambda part: _walk_extremes(pair, orders, part, len(part), step),
                              np.array_split(pts[:stop], workers))
             found = [build for walk in walks for build in walk]
-    # sigma >= 0, so the square of the least sigma is the least square
-    return [GramianReport(order=j, lower=min(lo for lo, _ in ext) ** 2,
-                          upper=max(hi for _, hi in ext) ** 2, grid=grid.size)
+    return [GramianReport(order=j, lower=min(lo for lo, _ in ext),
+                          upper=max(hi for _, hi in ext), grid=grid.size)
             for j, ext in zip(orders, zip(*found))]
 
 

@@ -7,8 +7,9 @@ the tests' expectations, the one-matrix DTFT checks the package's blocked
 time-domain iterated filters cross-check the factored Gramian fibers and
 the analysis cascade, the FiniteSeq cascade checks the package's
 array cascade bit for bit, the full recursion fibers and the full-grid
-bounds built from them check the package's split and half-grid solves,
-and the annulus and sine-product checks verify the estimates the
+SVD bounds built from them check the package's real, split and half-grid
+builds and its Gram eigensolve, the upsampled convolutions check the
+package's strided dilated product, and the annulus and sine-product checks verify the estimates the
 stability proofs rest on.
 """
 
@@ -138,6 +139,15 @@ def cascade_energies(pair: FilterPair, x: FiniteSeq, j: int) -> list[float]:
 def cascade_residual_norms(pair: FilterPair, x: FiniteSeq, j: int) -> list[float]:
     """[||low_1||, ..., ||low_j||] of cascade_levels."""
     return [math.sqrt(norm_sq(low)) for _, low in cascade_levels(pair, x, j)]
+
+
+def dilated_product_by_upsampling(p: FiniteSeq, s: int) -> FiniteSeq:
+    """prod_{k=0}^{s-1} p^(2^k xi) by its definition: p convolved with p
+    upsampled by 2^k for k = 1..s-1, each level trimmed on construction."""
+    q = p
+    for k in range(1, s):
+        q = convolve(q, upsample(p, k))
+    return q
 
 
 def iterate_filters(pair: FilterPair, j: int) -> tuple[list[FiniteSeq], list[FiniteSeq]]:

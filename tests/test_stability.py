@@ -50,6 +50,7 @@ from fbstab.iterate import energy_profile
 from oracles import (
     cascade_energies,
     cascade_residual_norms,
+    dilated_product_by_upsampling,
     downsample_annulus_check,
     gramian_bounds_full_grid,
     gramian_dense,
@@ -176,10 +177,13 @@ def _bessel_direct_sum(f, s, grid):
     return grid_max, d, sup_value < 2.0 ** ((f.n - 0.5) * s)
 
 
-@pytest.mark.parametrize("f", [
+BESSEL_FILTERS = pytest.mark.parametrize("f", [
     factor(burt_adelson(0.4871)), factor(burt_adelson(0.7)),
     higher_order(0.209), higher_order(1.3)],
     ids=["ba-0.4871", "ba-0.7", "ho-0.209", "ho-1.3"])
+
+
+@BESSEL_FILTERS
 def test_bessel_grid_max_matches_direct_sum(f):
     grid = Grid(8192)
     for s in range(1, 11):
@@ -188,6 +192,25 @@ def test_bessel_grid_max_matches_direct_sum(f):
         assert cert.grid_max == pytest.approx(grid_max, rel=1e-13, abs=0.0)
         assert cert.degree == degree
         assert cert.verdict == verdict
+
+
+@BESSEL_FILTERS
+def test_dilated_product_matches_upsampled_convolutions(f):
+    for s in range(1, 11):
+        q = dilated_product(f.p, s)
+        expected = dilated_product_by_upsampling(f.p, s)
+        assert q.support == expected.support
+        assert trig_degree(q) == trig_degree(expected)
+        scale = float(np.max(np.abs(expected.coeffs)))
+        assert float(np.max(np.abs(q.coeffs - expected.coeffs))) <= 1e-12 * scale
+
+
+def test_bessel_certificate_of_a_long_product():
+    # s = 16 is a degree-65535 product; built by upsampled convolutions,
+    # each level cost about 4x the one before
+    cert = bessel_certificate(factor(burt_adelson(0.7)), 16, Grid(1 << 18))
+    assert cert.degree == (1 << 16) - 1
+    assert cert.sup_value >= cert.grid_max > 0.0
 
 
 def test_bessel_memory_stays_small_at_s10():
@@ -446,11 +469,93 @@ def test_gramian_full_solve_of_random_non_orthogonal_pairs(case, j_max):
     pair = FilterPair(orth.h, convolve(orth.g, seq(0, [1.0, 1.0])))
     assert not fbstab.stability._channel_orthogonal(pair)
     assert _off_diagonal_max(pair, Grid(64)) > 1e-6
+    # an odd centre difference (or taps that are not linear phase) keeps
+    # the complex build, which is the dense recursion's
+    assert fbstab.stability._real_form(pair) is None
     reports = _assert_profile_matches_oracle(pair, j_max, grid)
-    # the full fibers of the solved half grid, solved as the oracle does:
-    # equal bit for bit
-    half = gramian_profile_full_grid(pair, j_max, grid, grid.size // 2 + 1)
+    # the full fibers of the solved half grid, solved as the package solves
+    # a piece with no split part: equal bit for bit
+    count = grid.size // 2 + 1
+    half = [fbstab.stability._piece_extremes(np.empty((count, 0)), X)
+            for X in recursion_fibers(pair, j_max, grid.points[:count])]
     assert [(r.lower, r.upper) for r in reports] == half
+
+
+@st.composite
+def _linear_phase_pairs(draw):
+    """A real symmetric low-pass, assemble(FactoredLowpass(n, p)) with p
+    symmetric (1..6 taps at offsets -2..2, so the centre c_h = lo + hi takes
+    both parities), paired with its orthogonal high-pass or with a random
+    non-orthogonal high-pass whose taps are symmetric with zero sum or
+    antisymmetric, of a length that makes c_g - c_h even; and a grid of
+    5..16 points."""
+    n = draw(st.integers(1, 4))
+    half = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+    taps = np.array(half + half[::-1][draw(st.integers(0, 1)):])
+    assume(abs(np.sum(taps)) > 0.25)
+    h = assemble(FactoredLowpass(n, seq(draw(st.integers(-2, 2)), taps / np.sum(taps))))
+    # assemble's convolutions may round mirrored taps apart by an ulp
+    c = h.coeffs.real
+    h = seq(h.offset, (c + c[::-1]) / 2.0)
+    kind = draw(st.sampled_from(["orthogonal", "symmetric", "antisymmetric"]))
+    if kind == "orthogonal":
+        g = orthogonal_highpass(h)
+    else:
+        # a length of parity c_h + 1 makes c_g = 2 lo + length - 1 as even as c_h
+        lo, hi = h.support
+        t = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
+        odd = (lo + hi) % 2 == 0
+        if kind == "symmetric":
+            g_taps = np.array(t + t[::-1][1:] if odd else t + t[::-1])
+            g_taps = g_taps - np.mean(g_taps)
+        else:
+            g_taps = np.array(t + [0.0] * odd + [-v for v in t[::-1]])
+        assume(float(np.max(np.abs(g_taps))) > 0.1)
+        g = seq(draw(st.integers(-2, 2)), g_taps)
+    return FilterPair(h, g), Grid(draw(st.integers(5, 16)))
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_linear_phase_pairs(), st.integers(1, 7))
+def test_gramian_real_build_of_random_linear_phase_pairs(case, j_max):
+    pair, grid = case
+    assert fbstab.stability._real_form(pair) is not None
+    for a, M in gramian_fibers(pair, j_max, grid.points):
+        assert a.dtype == M.dtype == np.float64
+    _assert_profile_matches_oracle(pair, j_max, grid)
+
+
+def test_gramian_odd_centre_difference_keeps_complex_build():
+    # linear-phase g and h with c_g - c_h = 1
+    pair = FilterPair(burt_adelson(0.7), seq(0, [0.5, -0.5]))
+    assert fbstab.stability._real_form(pair) is None
+    for _, M in gramian_fibers(pair, 4, GRID.points[:8]):
+        assert M.dtype == np.complex128
+    _assert_profile_matches_oracle(pair, 6, Grid(64))
+
+
+@pytest.mark.parametrize("pair", [ba_pair(2.0), ho_pair(4.0)], ids=["ba-2.0", "ho-4.0"])
+def test_gram_solve_of_ill_conditioned_pairs_matches_svd_oracle(pair):
+    # B_6 / A_6 is 9.3e5 for ba-2.0 and 4.6e4 for ho-4.0, but each A_j sits
+    # on a well-conditioned fiber, so the Gram solve keeps it to round-off
+    grid = Grid(256)
+    reports = gramian_profile(pair, 6, grid)
+    assert reports[-1].upper > 4e4 * reports[-1].lower
+    for rep, (lower, upper) in zip(reports, gramian_profile_full_grid(pair, 6, grid)):
+        assert rep.lower == pytest.approx(lower, rel=1e-12)
+        assert rep.upper == pytest.approx(upper, rel=1e-12)
+
+
+def test_gram_solve_of_a_singular_pair_stays_at_zero():
+    # a Laplacian high-pass centred at 0: some fiber of every order is
+    # singular, and the SVD oracle's least sigma^2 is round-off (below 1e-30)
+    pair = FilterPair(burt_adelson(0.7), seq(-1, [-0.5, 1.0, -0.5]))
+    grid = Grid(256)
+    assert fbstab.stability._real_form(pair) is not None
+    for rep, (lower, _) in zip(gramian_profile(pair, 6, grid),
+                               gramian_profile_full_grid(pair, 6, grid)):
+        assert lower < 1e-30
+        assert 0.0 <= rep.lower <= 64 * np.finfo(float).eps * rep.upper
 
 
 def test_channel_test_classifies_fixed_pairs():
@@ -519,14 +624,14 @@ def test_gramian_profile_equals_bounds_of_each_order(pair, size, monkeypatch):
 
 
 def test_gramian_small_batches_stay_on_calling_thread(monkeypatch):
-    solve = fbstab.stability._sv_extremes
+    solve = fbstab.stability._piece_extremes
     threads = []
 
     def recording_solve(*piece):
         threads.append(threading.get_ident())
         return solve(*piece)
 
-    monkeypatch.setattr(fbstab.stability, "_sv_extremes", recording_solve)
+    monkeypatch.setattr(fbstab.stability, "_piece_extremes", recording_solve)
     monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 2)
     # 1024 points of 8 x 8: 1024 * 8^3 is below SVD_PART_WORK
     gramian_bounds(ba_pair(0.7), 3, Grid(1024))
