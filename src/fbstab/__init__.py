@@ -10,7 +10,6 @@ from .seqcore import (
     involute,
     norm_sq,
     seq,
-    upsample,
     zero_seq,
 )
 from .filters import (

@@ -35,7 +35,7 @@ from .filters import (
     orthogonal_highpass,
 )
 from .iterate import analyze, contraction_certificate
-from .seqcore import FiniteSeq, Grid, delta
+from .seqcore import FiniteSeq, Grid, _count, delta
 from .stability import (
     GRAMIAN_J_CAP,
     TOL_EXPAND,
@@ -140,23 +140,16 @@ def _load_pair(args, h: FiniteSeq) -> FilterPair:
 
 
 def cmd_certify(args) -> int:
-    if not 1 <= args.order <= GRAMIAN_J_CAP or args.s_max < 1:
-        raise ValueError(
-            f"need 1 <= --order <= {GRAMIAN_J_CAP} and --s-max >= 1, "
-            f"got {args.order} and {args.s_max}")
+    # checked before the filter is read or any certificate built
+    _count("--order", args.order, 1, GRAMIAN_J_CAP)
+    _count("--s-max", args.s_max, 1)
     h, f = _load_lowpass(args)
     pair = _load_pair(args, h)
     grid = Grid(args.grid)
     bessel = [bessel_certificate(f, s, grid) for s in range(1, args.s_max + 1)]
     expand = expand_certificate(pair, grid)
     span = span_certificate(pair, grid)
-    # The transfer operator has the same spectrum for every translate of h,
-    # so a support that misses index 0 is moved to touch it: the window
-    # [-L, L] then follows the filter's length, not its offset.
-    lo, hi = h.support
-    shift = min(max(0, lo), hi)
-    contraction = contraction_certificate(FiniteSeq(lo - shift, h.coeffs),
-                                          max(shift - lo, hi - shift))
+    contraction = contraction_certificate(h)
     gramian = gramian_profile(pair, args.order, grid)
     # overall verdict: a Bessel bound at some product length, plus the
     # expanding and span conditions; the contraction certificate is a
@@ -184,8 +177,7 @@ SWEEP_HEADER = ("a", "bessel_s1", "bessel_s2", "expand_min", "expand_ok",
 def cmd_sweep(args) -> int:
     if not args.a_min < args.a_max:
         raise ValueError(f"need a-min < a-max, got {args.a_min} >= {args.a_max}")
-    if args.steps < 2:
-        raise ValueError(f"need at least 2 steps, got {args.steps}")
+    _count("--steps", args.steps, 2)
     grid = Grid(args.grid)
     lines = [",".join(SWEEP_HEADER)]
     for a in np.linspace(args.a_min, args.a_max, args.steps):
@@ -315,8 +307,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ import numpy as np
 
 from .seqcore import (
     FiniteSeq,
+    _is_int,
     convolve,
     dtft_at,
     seq,
@@ -86,8 +87,11 @@ class FactoredLowpass:
     p: FiniteSeq
 
     def __post_init__(self):
-        if self.n < 1:
-            raise FilterError(f"cosine-factor order must be >= 1, got {self.n}")
+        # the _count rule, raising FilterError: a cosine-factor order of 2.5
+        # would set a Bessel threshold of no filter
+        if not (_is_int(self.n) and self.n >= 1):
+            raise FilterError(f"cosine-factor order must be an integer >= 1, "
+                              f"got {self.n!r}")
         if not _finite(self.p):
             raise FilterError("p must satisfy p^(0) = 1 with finite taps, got a non-finite tap")
         p0 = dtft_at(self.p, 0.0)

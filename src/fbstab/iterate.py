@@ -12,7 +12,7 @@ from itertools import islice
 import numpy as np
 
 from .filters import FilterError, FilterPair, check_lowpass
-from .seqcore import FiniteSeq, _energy, _trim, involute, norm_sq
+from .seqcore import FiniteSeq, _count, _energy, _trim, involute, norm_sq
 
 J_MAX = 20
 
@@ -103,48 +103,41 @@ def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteS
         yield FiniteSeq(c_off, c), FiniteSeq(l_off, low)
 
 
-def _check_order(j: int) -> None:
-    if j < 1:
-        raise ValueError(f"iteration order must be >= 1, got {j}")
-
-
 def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
     """Order-j analysis: channels[l] = D^l(x * involute(g_l)) plus the
     residual D^j(x * involute(h_j)).
 
     Computed as the two-channel cascade (filter then downsample at each
     level), which agrees with the iterated-filter formulas through the
-    noble identity.
+    noble identity.  j must be an integer in 1..J_MAX.
     """
-    _check_order(j)
-    if j > J_MAX:
-        raise ValueError(f"iteration order {j} exceeds the cap {J_MAX}")
+    j = _count("iteration order", j, 1, J_MAX)
     levels = list(islice(cascade(pair, x), j))
     return AnalysisOutput(j, [c for c, _ in levels], levels[-1][1])
 
 
 def energy_profile(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Per-channel energies [||(Fx)_1||^2, ..., ||(Fx)_j_max||^2, residual]
-    of the first j_max cascade levels."""
-    _check_order(j_max)
+    of the first j_max cascade levels, j_max an integer >= 1."""
+    j_max = _count("iteration order", j_max, 1)
     levels = list(islice(_cascade_energies(_analysis_filters(pair), x), j_max))
     return [c for c, _ in levels] + [levels[-1][1]]
 
 
 def lowpass_residual_norms(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Norms ||(F_j x)_(j+1)|| of the cascade's low-pass residual for
-    j = 1..j_max.  Supports stay bounded, so large j is cheap."""
-    _check_order(j_max)
+    j = 1..j_max, j_max an integer >= 1.  Supports stay bounded, so large
+    j is cheap."""
+    j_max = _count("iteration order", j_max, 1)
     levels = islice(_cascade_energies(_analysis_filters(pair), x), j_max)
     return [math.sqrt(low) for _, low in levels]
 
 
 def transfer_matrix(h: FiniteSeq, L: int) -> np.ndarray:
     """Matrix of x -> D(x*h) on sequences supported in [-L, L]: entry
-    [k + L, m + L] is h(2k - m) for |k|, |m| <= L."""
+    [k + L, m + L] is h(2k - m) for |k|, |m| <= L, L an integer >= 0."""
+    L = _count("window L", L, 0)
     check_lowpass(h)
-    if h.is_zero:
-        raise FilterError("transfer matrix of the zero filter is undefined")
     lo, hi = h.support
     if lo < -L or hi > L:
         raise FilterError(
@@ -164,7 +157,9 @@ def spectral_radius(mat: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ContractionCertificate:
-    """Gershgorin-style contraction diagnostic for the transfer operator."""
+    """Contraction diagnostic for the transfer operator: the sign
+    hypothesis, the exact spectral radius (from eigvals) on the window
+    [-L, L], and the verdict."""
 
     L: int
     nonnegative: bool
@@ -177,19 +172,25 @@ class ContractionCertificate:
         return asdict(self)
 
 
-def contraction_certificate(h: FiniteSeq, L: int) -> ContractionCertificate:
+def contraction_certificate(h: FiniteSeq) -> ContractionCertificate:
     """Check the nonnegativity hypothesis and the spectral radius bound
-    1/sqrt(2) for the transfer operator restricted to [-L, L].
+    1/sqrt(2) for the transfer operator restricted to the window [-L, L].
 
-    The even/odd coefficient sums are reported as a diagnostic; both equal
-    1/sqrt(2) for any low-pass filter.  The spectral radius is reported
-    whether or not the hypothesis holds.
+    The transfer operator has the same spectrum for every translate of h,
+    so a support that misses index 0 is shifted until it touches 0, and L
+    is the least window that holds the shifted support: it follows the
+    filter's length, not its offset.  The even/odd coefficient sums are
+    reported as a diagnostic; both equal 1/sqrt(2) for any low-pass filter.
+    The spectral radius is reported whether or not the hypothesis holds.
     """
     coeffs = h.coeffs
     nonneg = bool(np.all(coeffs.real >= -1e-12) and np.all(np.abs(coeffs.imag) <= 1e-12))
     idx = h.indices
     even_sum = float(np.sum(coeffs[idx % 2 == 0]).real)
     odd_sum = float(np.sum(coeffs[idx % 2 == 1]).real)
-    rho = spectral_radius(transfer_matrix(h, L))
+    lo, hi = h.support
+    shift = min(max(0, lo), hi)
+    L = max(shift - lo, hi - shift)
+    rho = spectral_radius(transfer_matrix(FiniteSeq(lo - shift, coeffs), L))
     verdict = nonneg and rho <= INV_SQRT2 + 1e-9
     return ContractionCertificate(L, nonneg, even_sum, odd_sum, rho, verdict)

@@ -54,6 +54,21 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _count(name: str, value, least: int | None, most: int | None = None) -> int:
+    """value as an int when it is an integer (_is_int) in least..most, a
+    None end being open; else ValueError naming the count.  Every integer
+    count the package takes (a size, an order, a length, an offset) passes
+    here, so 2.0, True and 0.9 fail alike rather than act as 2, 1 or 0."""
+    if (_is_int(value) and (least is None or least <= value)
+            and (most is None or value <= most)):
+        return int(value)
+    if most is not None:
+        raise ValueError(f"{name} must be in {least}..{most} and an integer, "
+                         f"got {value!r}")
+    at_least = "" if least is None else f" >= {least}"
+    raise ValueError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
 def _energy(c: np.ndarray) -> float:
     """sum |c|^2, the squared l2 norm of a coefficient array."""
     return float((np.abs(c) ** 2).sum())
@@ -67,8 +82,9 @@ class FiniteSeq:
     representation is canonical: leading/trailing coefficients with
     magnitude at most ``TRIM_TOL`` are dropped on construction (NaN is
     kept, so that the filter checks see it), and the zero sequence is
-    stored as an empty array with offset 0.  Every index offset + i, and
-    the offset of an empty array, must lie in -INDEX_CAP..INDEX_CAP.
+    stored as an empty array with offset 0.  The offset is an integer (a
+    numpy integer is stored as int), and every index offset + i, and the
+    offset of an empty array, must lie in -INDEX_CAP..INDEX_CAP.
     """
 
     offset: int
@@ -77,7 +93,7 @@ class FiniteSeq:
     def __post_init__(self):
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         # checked before the trim, which moves an all-zero sequence to 0
-        first = int(self.offset)
+        first = _count("sequence offset", self.offset, None)
         last = first + max(c.size, 1) - 1
         if first < -INDEX_CAP or last > INDEX_CAP:
             raise ValueError(f"sequence indices must lie in {-INDEX_CAP}.."
@@ -127,8 +143,6 @@ class FiniteSeq:
             raise ValueError('a sequence must be a JSON object with keys '
                              '"offset" and "coeffs"')
         offset, taps = obj["offset"], obj["coeffs"]
-        if isinstance(offset, bool) or not isinstance(offset, int):
-            raise ValueError(f"sequence offset must be an integer, got {offset!r}")
         if not isinstance(taps, list):
             raise ValueError(f"sequence coeffs must be a list, got {taps!r}")
         coeffs = np.asarray([_json_tap(i, c) for i, c in enumerate(taps)],
@@ -168,10 +182,7 @@ class Grid:
     size: int
 
     def __post_init__(self):
-        if not (_is_int(self.size) and 2 <= self.size <= GRID_CAP):
-            raise ValueError(f"grid size must be in 2..{GRID_CAP} and an integer, "
-                             f"got {self.size}")
-        object.__setattr__(self, "size", int(self.size))
+        object.__setattr__(self, "size", _count("grid size", self.size, 2, GRID_CAP))
 
     @property
     def points(self) -> np.ndarray:
@@ -235,18 +246,6 @@ def involute(x: FiniteSeq) -> FiniteSeq:
     if x.is_zero:
         return x
     return FiniteSeq(-(x.offset + len(x.coeffs) - 1), np.conj(x.coeffs[::-1]))
-
-
-def upsample(x: FiniteSeq, j: int) -> FiniteSeq:
-    """Insert 2^j - 1 zeros between samples: result(2^j m) = x(m)."""
-    if j < 1:
-        raise ValueError(f"upsampling order must be >= 1, got {j}")
-    if x.is_zero:
-        return x
-    step = 1 << j
-    out = np.zeros(step * (len(x.coeffs) - 1) + 1, dtype=complex)
-    out[::step] = x.coeffs
-    return FiniteSeq(x.offset * step, out)
 
 
 def norm_sq(x: FiniteSeq) -> float:

@@ -22,7 +22,7 @@ from .iterate import J_MAX, _analysis_filters, _cascade_energies, lowpass_residu
 from .seqcore import (
     FiniteSeq,
     Grid,
-    _is_int,
+    _count,
     dtft_at,
     dtft_grid,
     norm_sq,
@@ -116,9 +116,9 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
     Bernstein's bound ||q'|| <= 2 pi d ||q|| turns a grid maximum over N
     points into the certified bound grid_max / (1 - pi d / N).  The grid
     maximum comes from one length-N FFT of q's coefficients folded modulo N.
+    s must be an integer >= 1.
     """
-    if s < 1:
-        raise ValueError(f"product length s must be >= 1, got {s}")
+    s = _count("product length s", s, 1)
     q = dilated_product(f.p, s)
     d = trig_degree(q)
     if grid.size <= math.pi * d:
@@ -371,12 +371,6 @@ class GramianReport:
         return asdict(self)
 
 
-def _check_gramian_order(j: int) -> None:
-    if not (_is_int(j) and 1 <= j <= GRAMIAN_J_CAP):
-        raise ValueError(f"gramian order must be in 1..{GRAMIAN_J_CAP} and an "
-                         f"integer, got {j}")
-
-
 def _piece_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
     """(min sigma^2, max sigma^2), the lower clamped at 0, over a batch of
     fibers given by their solve pieces (see gramian_fibers): the squared
@@ -479,8 +473,9 @@ def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[Gramia
 
 def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
     """A_j = min over the grid of sigma_min(X_j)^2 and B_j = max
-    sigma_max(X_j)^2, solving order j alone (see _gramian_reports)."""
-    _check_gramian_order(j)
+    sigma_max(X_j)^2, solving order j alone (see _gramian_reports); j is
+    an integer in 1..GRAMIAN_J_CAP."""
+    j = _count("gramian order", j, 1, GRAMIAN_J_CAP)
     (report,) = _gramian_reports(pair, range(j, j + 1), grid)
     return report
 
@@ -490,7 +485,7 @@ def gramian_profile(pair: FilterPair, j_max: int, grid: Grid) -> list[GramianRep
     report, from one pass: each order-j_max build supplies the pieces of
     every lower order too (see _gramian_reports; gramian_fibers gives the
     half-size pieces of a channel-orthogonal pair)."""
-    _check_gramian_order(j_max)
+    j_max = _count("gramian order", j_max, 1, GRAMIAN_J_CAP)
     return _gramian_reports(pair, range(1, j_max + 1), grid)
 
 
@@ -537,10 +532,9 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
     below 1e-8; for banks where it never does, the depth is capped at 16
     iterations and flagged.
     """
-    _check_gramian_order(j_max)
-    for name, value, least in (("n_signals", n_signals, 1), ("seed", seed, 0)):
-        if not _is_int(value) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    j_max = _count("gramian order", j_max, 1, GRAMIAN_J_CAP)
+    n_signals = _count("n_signals", n_signals, 1)
+    seed = _count("seed", seed, 0)
     reports = gramian_profile(pair, j_max, grid)
     a_star = min(r.lower for r in reports)
     b_star = max(r.upper for r in reports)
@@ -604,9 +598,8 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
 def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profile data (xi, product modulus, bound) of the telescoping bound
     |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| <= min(1, 1/(2^(j+1)|xi|)) over
-    the centered grid.  j must lie in 1..iterate.J_MAX."""
-    if not 1 <= j <= J_MAX:
-        raise ValueError(f"sine product length must be in 1..{J_MAX}, got {j}")
+    the centered grid.  j must be an integer in 1..iterate.J_MAX."""
+    j = _count("sine product length", j, 1, J_MAX)
     xi = grid.centered_points
     prod = np.ones_like(xi, dtype=complex)
     for k in range(j):

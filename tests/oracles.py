@@ -1,8 +1,9 @@
 """Independent reference constructions the tests check the package against.
 
 None of these is used by the package: the index-aligned sequence helpers
-(`at`, `translate`, `inner`, `seq_close`, `shift_invariant_close`) state
-the tests' expectations, the one-matrix DTFT checks the package's blocked
+(`at`, `translate`, `inner`, `seq_close`, `shift_invariant_close`) and the
+multirate operators (`downsample`, `upsample`) state the tests'
+expectations, the one-matrix DTFT checks the package's blocked
 `dtft_at` bit for bit, the dense pre-Gramian and the
 time-domain iterated filters cross-check the factored Gramian fibers and
 the analysis cascade, the FiniteSeq cascade checks the package's
@@ -25,7 +26,6 @@ from fbstab.seqcore import (
     dtft_at,
     involute,
     norm_sq,
-    upsample,
     zero_seq,
 )
 from fbstab.stability import sine_product_values
@@ -113,6 +113,18 @@ def downsample(x: FiniteSeq, j: int) -> FiniteSeq:
         return zero_seq()
     idx = np.arange(n_lo, n_hi + 1) * step - x.offset
     return FiniteSeq(n_lo, x.coeffs[idx])
+
+
+def upsample(x: FiniteSeq, j: int) -> FiniteSeq:
+    """Insert 2^j - 1 zeros between samples: result(2^j m) = x(m)."""
+    if j < 1:
+        raise ValueError(f"upsampling order must be >= 1, got {j}")
+    if x.is_zero:
+        return x
+    step = 1 << j
+    out = np.zeros(step * (len(x.coeffs) - 1) + 1, dtype=complex)
+    out[::step] = x.coeffs
+    return FiniteSeq(x.offset * step, out)
 
 
 def cascade_levels(pair: FilterPair, x: FiniteSeq, j: int) -> list[tuple[FiniteSeq, FiniteSeq]]:

@@ -30,7 +30,6 @@ from fbstab.seqcore import (
     dtft_at,
     norm_sq,
     seq,
-    upsample,
     zero_seq,
 )
 from fbstab.stability import (
@@ -51,6 +50,7 @@ from oracles import (
     inner,
     recursion_fibers,
     sine_product_check,
+    upsample,
 )
 
 INV_SQRT2 = 1 / math.sqrt(2)
@@ -197,7 +197,7 @@ def test_criterion_8_transfer_operator_suite():
         ok &= abs(even - INV_SQRT2) < 1e-10 and abs(odd - INV_SQRT2) < 1e-10
     rng = np.random.default_rng(2)
     for h in (HAAR, TENT):
-        cert = contraction_certificate(h, 4)
+        cert = contraction_certificate(h)
         ok &= cert.verdict and cert.spectral_radius <= INV_SQRT2 + 1e-9
         pair = orthogonal_pair(h)
         for _ in range(4):

@@ -201,13 +201,12 @@ def test_spectral_radius_simple_cases():
 def test_contraction_spectral_radius_is_exact(h):
     # 1/sqrt(2) is the transfer operator's eigenvalue for the constant left
     # eigenvector; an iterative estimate misses it by up to 1e-11 here
-    lo, hi = h.support
-    cert = contraction_certificate(h, max(abs(lo), abs(hi)))
+    cert = contraction_certificate(h)
     assert cert.spectral_radius == pytest.approx(INV_SQRT2, rel=1e-13)
 
 
 def test_contraction_certificate_haar():
-    cert = contraction_certificate(HAAR, 4)
+    cert = contraction_certificate(HAAR)
     assert cert.nonnegative
     assert cert.even_sum == pytest.approx(INV_SQRT2, abs=1e-10)
     assert cert.odd_sum == pytest.approx(INV_SQRT2, abs=1e-10)
@@ -216,19 +215,36 @@ def test_contraction_certificate_haar():
 
 
 def test_contraction_certificate_tent():
-    cert = contraction_certificate(TENT, 4)
+    cert = contraction_certificate(TENT)
     assert cert.nonnegative and cert.verdict
     assert cert.spectral_radius <= INV_SQRT2 + 1e-9
 
 
 def test_contraction_certificate_signed_filter():
     # hypothesis fails (negative taps) but the radius is still reported
-    cert = contraction_certificate(burt_adelson(0.6), 6)
+    cert = contraction_certificate(burt_adelson(0.6))
     assert not cert.nonnegative
     assert not cert.verdict
     assert cert.spectral_radius > 0
     assert cert.even_sum == pytest.approx(INV_SQRT2, abs=1e-10)
     assert cert.odd_sum == pytest.approx(INV_SQRT2, abs=1e-10)
+
+
+@pytest.mark.parametrize("h", [HAAR, TENT, burt_adelson(0.6),
+                               assemble(higher_order(1.0))],
+                         ids=["haar", "tent", "ba-0.6", "ho-1.0"])
+def test_contraction_window_follows_the_length_not_the_offset(h):
+    # a far translate is shifted to touch index 0 before the window is
+    # taken, so it gets the same window and the same radius, bit for bit
+    near = contraction_certificate(FiniteSeq(0, h.coeffs))
+    far = contraction_certificate(FiniteSeq(1000, h.coeffs))
+    assert far.L == near.L == len(h.coeffs) - 1
+    assert far.spectral_radius == near.spectral_radius
+    assert far == near
+    # a support that straddles 0 keeps its place: the least window holds it
+    lo, hi = h.support
+    if lo <= 0 <= hi:
+        assert contraction_certificate(h).L == max(-lo, hi)
 
 
 def test_column_sums_for_random_lowpass():

@@ -1,8 +1,9 @@
 """The public names of the `fbstab` package and the README's library
 quick start, so that a removed or renamed name breaks a test, not only
-the docs."""
+the docs; and the package's one declared dependency, numpy."""
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 import fbstab
 from fbstab import gramian_bounds, norm_sq
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 PUBLIC_NAMES = [
     "AnalysisOutput", "BesselCertificate", "BoundTransferReport",
@@ -24,7 +26,7 @@ PUBLIC_NAMES = [
     "higher_order", "involute", "lowpass_residual_norms",
     "mstar_m_eigenfunctions", "norm_sq", "orthogonal_highpass", "seq",
     "sine_product_values", "span_certificate", "std_expand_profile",
-    "transfer_matrix", "upsample", "zero_seq",
+    "transfer_matrix", "zero_seq",
 ]
 
 
@@ -32,7 +34,7 @@ def test_public_names_are_pinned():
     names = sorted(n for n in dir(fbstab) if not n.startswith("_")
                    and not isinstance(getattr(fbstab, n), types.ModuleType))
     assert names == sorted(PUBLIC_NAMES)
-    assert len(names) == 41
+    assert len(names) == 40
 
 
 def _run_quick_start():
@@ -63,3 +65,20 @@ def test_readme_library_quick_start():
     # the captured energy obeys the order-3 frame bounds
     g3 = gramian_bounds(ns["pair"], 3, ns["grid"])
     assert g3.lower * norm_sq(x) <= energy <= g3.upper * norm_sq(x)
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    for path in sorted((ROOT / "src" / "fbstab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:  # not an import, or a relative one (within fbstab)
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in ("numpy", "fbstab") or top in sys.stdlib_module_names, (
+                    f"{path.name} imports {module}")
+    project = (ROOT / "pyproject.toml").read_text().split("\n[project]\n", 1)[1]
+    assert 'dependencies = ["numpy"]' in project.split("\n[", 1)[0].splitlines()

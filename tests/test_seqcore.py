@@ -19,11 +19,18 @@ from fbstab.seqcore import (
     involute,
     norm_sq,
     seq,
-    upsample,
     zero_seq,
 )
 
-from oracles import at, downsample, dtft_dense, inner, seq_close, translate
+from oracles import (
+    at,
+    downsample,
+    dtft_dense,
+    inner,
+    seq_close,
+    translate,
+    upsample,
+)
 
 RNG = np.random.default_rng(2024)
 
