@@ -15,6 +15,11 @@ from .filters import FilterError, FilterPair, check_lowpass
 from .seqcore import FiniteSeq, _count, _energy, _trim, involute, norm_sq
 
 J_MAX = 20
+# most cascade levels of energy_profile and lowpass_residual_norms: each
+# level costs microseconds and one list entry, so a nonsense depth such as
+# 10**9 is refused rather than run for an hour; acceptance criterion 8
+# reads 40 levels and bound_transfer_check 16
+DEPTH_CAP = 64
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -118,17 +123,17 @@ def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
 
 def energy_profile(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Per-channel energies [||(Fx)_1||^2, ..., ||(Fx)_j_max||^2, residual]
-    of the first j_max cascade levels, j_max an integer >= 1."""
-    j_max = _count("iteration order", j_max, 1)
+    of the first j_max cascade levels, j_max an integer in 1..DEPTH_CAP."""
+    j_max = _count("iteration order", j_max, 1, DEPTH_CAP)
     levels = list(islice(_cascade_energies(_analysis_filters(pair), x), j_max))
     return [c for c, _ in levels] + [levels[-1][1]]
 
 
 def lowpass_residual_norms(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:
     """Norms ||(F_j x)_(j+1)|| of the cascade's low-pass residual for
-    j = 1..j_max, j_max an integer >= 1.  Supports stay bounded, so large
-    j is cheap."""
-    j_max = _count("iteration order", j_max, 1)
+    j = 1..j_max, j_max an integer in 1..DEPTH_CAP.  Supports stay
+    bounded, so each level is cheap."""
+    j_max = _count("iteration order", j_max, 1, DEPTH_CAP)
     levels = islice(_cascade_energies(_analysis_filters(pair), x), j_max)
     return [math.sqrt(low) for _, low in levels]
 

@@ -53,6 +53,9 @@ SVD_PART_WORK = 1 << 22
 # the Gram matrices stay small beside the build; slices cost 4-12% of a
 # j = 6 solve against one call per build (2-core host, one BLAS thread).
 GRAM_SLICE = 1 << 14
+# safety margin of the certificates that let _piece_extremes leave a slice
+# of Gram matrices unsolved; see there for what it covers
+_MARGIN = 1e-9
 
 
 class GridTooCoarseError(ValueError):
@@ -293,10 +296,12 @@ def _dephased(v: np.ndarray, form: tuple[int, bool], xi: np.ndarray, k: int) -> 
 
 
 def gramian_fibers(pair: FilterPair, j: int,
-                   xi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The solve pieces [(a_1, M_1), ..., (a_j, M_j)] of the fibers X_k(xi)
-    at the points xi: the singular values of X_k(xi) are the entries of
-    a_k(xi) together with the singular values of the square M_k(xi).
+                   xi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The solve pieces [(a_1, M_1, f_1), ..., (a_j, M_j, f_j)] of the
+    fibers X_k(xi) at the points xi: the singular values of X_k(xi) are the
+    entries of a_k(xi) together with the singular values of the square
+    M_k(xi), and f_k(xi) is a lower bound on sigma_min(M_k(xi))^2 (the
+    floor), or 0.
 
     X_k, of size 2^k x 2^k, comes from the order recursion
     X_k = Y_k diag(I_K, X_(k-1)) from X_0 = 1, with K = 2^(k-1): with g_k,
@@ -322,13 +327,22 @@ def gramian_fibers(pair: FilterPair, j: int,
     column norms, and sigma(X_k) = {a_q} U sigma(diag(c) X_(k-1)).  The
     piece is then (a, diag(c) X_(k-1)), a 2^(k-1)-square matrix, and the
     recursion is built only up to X_(j-1).  For any other pair the piece is
-    (an empty a, X_k), the full fiber.
+    (an empty a, X_k, 0), the full fiber.
+
+    The floor of a real split build follows the split: sigma(diag(c) X) >=
+    min c sigma_min(X), so f_k = min_q c_k(q)^2 s_(k-1) with s_0 = 1 and
+    s_k = min(min_q a_k(q)^2, f_k), a lower bound on sigma_min(X_k)^2.  It
+    holds up to the tolerances _piece_extremes allows for.  A complex build
+    is solved by SVD, which reads no floor, so its floor is 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     split = _channel_orthogonal(pair)
     real = _real_form(pair)
     dtype = float if real else complex
     X = np.ones((xi.shape[0], 1, 1), dtype=dtype)
+    # floor f_k, left at 0 unless the build is real and split; s is s_(k-1)
+    floor = np.zeros(xi.shape[0])
+    s = np.ones(xi.shape[0])
     pieces = []
     for k in range(1, j + 1):
         K = 1 << (k - 1)
@@ -336,10 +350,10 @@ def gramian_fibers(pair: FilterPair, j: int,
         g_k = dtft_at(pair.g, u) / SQRT2
         h_k = dtft_at(pair.h, u) / SQRT2
         if real:
-            g_form, h_form, s = real
+            g_form, h_form, sign = real
             g_k = _dephased(g_k, g_form, xi, k)
             h_k = _dephased(h_k, h_form, xi, k)
-            g_k[:, K:] *= s
+            g_k[:, K:] *= sign
         Y = None
         if k < j or not split:
             Y = np.zeros((xi.shape[0], 2 * K, 2 * K), dtype=dtype)
@@ -349,10 +363,15 @@ def gramian_fibers(pair: FilterPair, j: int,
             np.multiply(h_k[:, K:, None], X, out=Y[:, K:, K:])
         if split:
             # X_(k-1) is not needed once X_k is built: scale it in place
-            X *= _block_column_norms(h_k)[:, :, None]
-            pieces.append((_block_column_norms(g_k), X))
+            c = _block_column_norms(h_k)
+            X *= c[:, :, None]
+            a = _block_column_norms(g_k)
+            if real:
+                floor = np.min(c, axis=1) ** 2 * s
+                s = np.minimum(np.min(a, axis=1) ** 2, floor)
+            pieces.append((a, X, floor))
         else:
-            pieces.append((np.empty((xi.shape[0], 0)), Y))
+            pieces.append((np.empty((xi.shape[0], 0)), Y, floor))
         X = Y
     return pieces
 
@@ -371,11 +390,37 @@ class GramianReport:
         return asdict(self)
 
 
-def _piece_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
+def _below_ceiling(m: np.ndarray, ceiling: float) -> bool:
+    """Whether Cholesky factors ceiling I - m^T m for every matrix of m.
+
+    Each half of m forms ceiling I - m^T m in place on its Gram product,
+    so the Gram matrix and the Cholesky factor numpy returns hold one
+    slice's Gram entries between them.  numpy may hold the GIL through a
+    call on half a slice (see _piece_extremes), but the two Cholesky calls
+    take about a tenth of the eigvalsh they replace: 81 us against 905 us
+    for 16 Gram matrices of 32 x 32 (one BLAS thread).
+    """
+    n = m.shape[-1]
+    half = -(-len(m) // 2)
+    for start in range(0, len(m), half):
+        part = m[start:start + half]
+        c = np.swapaxes(part, -1, -2) @ part
+        np.negative(c, out=c)
+        c.reshape(len(c), -1)[:, ::n + 1] += ceiling
+        try:
+            np.linalg.cholesky(c)
+        except np.linalg.LinAlgError:
+            return False
+    return True
+
+
+def _piece_extremes(a: np.ndarray, M: np.ndarray, f: np.ndarray,
+                    run: tuple[float, float]) -> tuple[float, float]:
     """(min sigma^2, max sigma^2), the lower clamped at 0, over a batch of
-    fibers given by their solve pieces (see gramian_fibers): the squared
-    entries of a and the squared singular values of M.  Each fiber's value
-    does not depend on the slice or batch it sits in.
+    fibers given by their solve pieces (see gramian_fibers) and the running
+    extremes `run` of fibers solved before ((inf, 0) for none): the
+    squared entries of a and the squared singular values of M.  Each
+    fiber's value does not depend on the slice or batch it sits in.
 
     A real M is solved by eigvalsh of its Gram matrices M^T M, in slices of
     at most GRAM_SLICE entries.  That squares the condition number: the
@@ -387,46 +432,89 @@ def _piece_extremes(a: np.ndarray, M: np.ndarray) -> tuple[float, float]:
     far below the grid's own sampling error (about 1e-7).  A singular
     fiber reads 0, not round-off of order 1e-33.
 
+    When M spans more than one slice, a slice whose fibers provably cannot
+    move either running extreme (A, B) is not solved, so the result is
+    that of solving every slice, bit for bit.  With m = _MARGIN, a slice
+    settles when both hold:
+      - floor: every fiber's floor f (a lower bound on sigma_min(M)^2, see
+        gramian_fibers) exceeds max(0, A) + m max(1, B);
+      - ceiling: Cholesky factors (1 - m) B I - M^T M for every fiber
+        (_below_ceiling).
+    The fiber of largest row-norm proxy max_i ||M[i]||^2 is solved first,
+    which brings B near its final value early.  A and B are values some
+    solved fiber (or an entry of a) gave, so a fiber whose eigvalsh result
+    lies in [A, B] cannot change the reported extremes.  Only a split
+    piece (n <= 2^(GRAMIAN_J_CAP - 1) = 512) passes the floor test, and m
+    covers what separates the certificates from eigvalsh's computed
+    values (eps = 2^-52):
+      - Cholesky backward error: if it succeeds, (1 - m) B I - M^T M
+        plus a perturbation of norm at most about (n^2 + n + 2) eps B is
+        positive semidefinite, so lambda_max(M^T M) <= (1 - m) B plus that;
+      - eigvalsh round-off, the forming of M^T M included: the computed
+        eigenvalues move by at most about (n^2 + n) eps lambda_max, which
+        after the ceiling test is at most (n^2 + n) eps B;
+      - the _channel_orthogonal Weyl tolerance tol (about 1e-14 for the
+        package's filters), on which f relies: the split moves each
+        squared singular value by at most tol max(1, sigma_max^2) per
+        order, about j tol max(1, B) over j <= 10 orders.
+    So a settled fiber's computed eigenvalues lie within
+    (2 n^2 + 2 n + 2) eps B <= 1.2e-10 B of the ceiling side and within
+    5.9e-11 max(1, B) of the floor side, and the margins (m B and
+    m max(1, B), with m = 1e-9) exceed both by a factor of 8 or more;
+    the rounding of f itself (a few eps, relative) is covered by
+    m max(1, B) >= m f.  A piece with a floor of 0 (complex, or not
+    channel-orthogonal) never settles.
+
     A complex M keeps the SVD: its Gram solve is no faster on one thread,
     and from 64 x 64 fibers on its zgemm and zheevd wake OpenBLAS threads
     beside the Gramian workers, which doubled a complex certify --order 6
     on a 2-core host.
     """
+    lo, hi = run
+    a2 = a ** 2
+    lo = min(lo, float(np.min(a2, initial=math.inf)))
+    hi = max(hi, float(np.max(a2, initial=0.0)))
     if np.iscomplexobj(M):
         sv = np.linalg.svd(M, compute_uv=False)
-        lo, hi = float(np.min(sv[:, -1])) ** 2, float(np.max(sv[:, 0])) ** 2
-    else:
-        n = M.shape[-1]
-        # numpy holds the GIL through a linalg or matmul call over at most
-        # 500 matrix rows, which would keep the Gramian workers from
-        # overlapping
-        step = max(1, GRAM_SLICE // (n * n), 512 // n)
-        lo, hi = math.inf, 0.0
-        for start in range(0, M.shape[0], step):
-            m = M[start:start + step]
-            # the transposed view of m itself lets numpy form m^T m by one
-            # symmetric rank-k update, with no copy
-            w = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
-            lo = min(lo, float(np.min(w[:, 0])))
-            hi = max(hi, float(np.max(w[:, -1])))
-    a2 = a ** 2
-    return (max(0.0, min(lo, float(np.min(a2, initial=math.inf)))),
-            max(hi, float(np.max(a2, initial=0.0))))
+        return (max(0.0, min(lo, float(np.min(sv[:, -1])) ** 2)),
+                max(hi, float(np.max(sv[:, 0])) ** 2))
+    n = M.shape[-1]
+    # numpy holds the GIL through a linalg or matmul call over at most
+    # 500 matrix rows, which would keep the Gramian workers from
+    # overlapping
+    step = max(1, GRAM_SLICE // (n * n), 512 // n)
+    parts = [slice(start, start + step) for start in range(0, M.shape[0], step)]
+    settle = len(parts) > 1
+    if settle:
+        seed = int(np.argmax(np.max(np.einsum("pij,pij->pi", M, M), axis=1)))
+        parts.insert(0, slice(seed, seed + 1))
+    for part in parts:
+        m = M[part]
+        if (settle and float(np.min(f[part])) > max(0.0, lo) + _MARGIN * max(1.0, hi)
+                and _below_ceiling(m, (1.0 - _MARGIN) * hi)):
+            continue
+        # the transposed view of m itself lets numpy form m^T m by one
+        # symmetric rank-k update, with no copy
+        w = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)
+        lo = min(lo, float(np.min(w[:, 0])))
+        hi = max(hi, float(np.max(w[:, -1])))
+    return max(0.0, lo), hi
 
 
 def _walk_extremes(pair: FilterPair, orders: range, pts: np.ndarray, count: int,
-                   step: int) -> list[list[tuple[float, float]]]:
-    """_piece_extremes of every order for each build of the first `count`
-    fibers at pts: the points are built `step` at a time, each build up to
-    the highest order, and each build is released before the next is made.
-    A build's last points beyond `count` are built but not solved."""
-    found = []
+                   step: int) -> list[tuple[float, float]]:
+    """_piece_extremes of every order over the first `count` fibers at
+    pts: the points are built `step` at a time, each build up to the
+    highest order, and each build is released before the next is made.
+    Each order's running extremes carry from one build to the next.  A
+    build's last points beyond `count` are built but not solved."""
+    runs = [(math.inf, 0.0)] * len(orders)
     for start in range(0, count, step):
         pieces = gramian_fibers(pair, orders[-1], pts[start:start + step])
-        found.append([_piece_extremes(*(v[:count - start] for v in pieces[j - 1]))
-                      for j in orders])
+        runs = [_piece_extremes(*(v[:count - start] for v in pieces[j - 1]), run)
+                for j, run in zip(orders, runs)]
         del pieces
-    return found
+    return runs
 
 
 def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[GramianReport]:
@@ -448,8 +536,9 @@ def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[Gramia
     in whole chunks.  With more, each worker of a thread pool walks one
     contiguous range of the solved points, in builds of its share of a
     chunk, since numpy and LAPACK release the GIL for most of that work.
-    Each fiber's build and solve do not depend on the batch it sits in, so
-    the bounds are bit-identical for every worker count and chunk size.
+    Each fiber's build and solve do not depend on the batch it sits in, and
+    a fiber left unsolved cannot move an extreme (_piece_extremes), so the
+    bounds are bit-identical for every worker count and chunk size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -459,16 +548,16 @@ def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[Gramia
     workers = min(SVD_WORKERS, stop,
                   min(chunk, grid.size) * 8 ** orders[-1] // SVD_PART_WORK)
     if workers <= 1:
-        found = _walk_extremes(pair, orders, pts, stop, chunk)
+        walks = [_walk_extremes(pair, orders, pts, stop, chunk)]
     else:
         step = -(-chunk // workers)
         with ThreadPoolExecutor(workers) as pool:
-            walks = pool.map(lambda part: _walk_extremes(pair, orders, part, len(part), step),
-                             np.array_split(pts[:stop], workers))
-            found = [build for walk in walks for build in walk]
+            walks = list(pool.map(
+                lambda part: _walk_extremes(pair, orders, part, len(part), step),
+                np.array_split(pts[:stop], workers)))
     return [GramianReport(order=j, lower=min(lo for lo, _ in ext),
                           upper=max(hi for _, hi in ext), grid=grid.size)
-            for j, ext in zip(orders, zip(*found))]
+            for j, ext in zip(orders, zip(*walks))]
 
 
 def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:

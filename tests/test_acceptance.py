@@ -171,7 +171,7 @@ def test_criterion_6_factorization_oracle():
                 ok &= float(np.max(np.abs(sv_dense - sv_fact))) < 1e-10
                 # the package's split solve piece: a's entries and M's
                 # singular values
-                a, M = gramian_fibers(pair, j, np.array([xi]))[-1]
+                a, M, _ = gramian_fibers(pair, j, np.array([xi]))[-1]
                 sv_split = np.sort(np.concatenate(
                     [a[0], np.linalg.svd(M[0], compute_uv=False)]))[::-1]
                 ok &= float(np.max(np.abs(sv_dense - sv_split))) < 1e-10

@@ -77,10 +77,11 @@ CASES = {
         (0, fbstab.iterate.J_MAX + 1), lambda out: (type(out.order), out.to_json_obj())),
     "energy_profile.j_max": (
         lambda j: energy_profile(PAIR, X, j), [(fbstab.iterate, "_cascade_energies")],
-        2, (0, -3), lambda e: e),
+        2, (0, -3, fbstab.iterate.DEPTH_CAP + 1), lambda e: e),
     "lowpass_residual_norms.j_max": (
         lambda j: lowpass_residual_norms(PAIR, X, j),
-        [(fbstab.iterate, "_cascade_energies")], 2, (0, -3), lambda e: e),
+        [(fbstab.iterate, "_cascade_energies")], 2, (0, -3, fbstab.iterate.DEPTH_CAP + 1),
+        lambda e: e),
     "transfer_matrix.L": (
         lambda L: transfer_matrix(H, L), [(fbstab.iterate, "check_lowpass")], 2,
         (-1,), lambda m: m.tolist()),
@@ -128,8 +129,8 @@ def test_refused_counts_name_themselves():
     with pytest.raises(ValueError, match=r"^iteration order must be in 1\.\.20 and an "
                                          r"integer, got True$"):
         analyze(PAIR, X, True)
-    with pytest.raises(ValueError, match=r"^iteration order must be an integer >= 1, "
-                                         r"got 2\.0$"):
+    with pytest.raises(ValueError, match=r"^iteration order must be in 1\.\.64 and an "
+                                         r"integer, got 2\.0$"):
         energy_profile(PAIR, X, 2.0)
     with pytest.raises(ValueError, match=r"^product length s must be an integer"):
         bessel_certificate(F, True, GRID)

@@ -1,9 +1,11 @@
 """Tests for the stability certificates, Gramian fiberization, and the
 supporting estimate checks."""
 
+import json
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,9 +309,9 @@ def test_gramian_haar_tight():
 
 def _split_singular_values(pair, j, xi):
     """Each fiber's singular values of order j from the package's solve
-    piece (a, M): the entries of a and the singular values of M, in
+    piece (a, M, floor): the entries of a and the singular values of M, in
     descending order, one row per point of xi."""
-    a, M = gramian_fibers(pair, j, xi)[-1]
+    a, M, _ = gramian_fibers(pair, j, xi)[-1]
     sv = np.concatenate([a, np.linalg.svd(M, compute_uv=False)], axis=1)
     return -np.sort(-sv, axis=1)
 
@@ -325,7 +327,7 @@ def test_gramian_haar_fibers_unitary():
         xi = GRID.points[:: max(1, 4096 >> (12 - j))]
         assert _unitarity_gap(recursion_fibers(pair, j, xi)[-1]) < 1e-10
         # the split piece of an orthonormal pair: a = 1 and M unitary
-        a, M = gramian_fibers(pair, j, xi)[-1]
+        a, M, _ = gramian_fibers(pair, j, xi)[-1]
         assert float(np.max(np.abs(a - 1.0))) < 1e-10
         assert _unitarity_gap(M) < 1e-10
 
@@ -476,19 +478,20 @@ def test_gramian_full_solve_of_random_non_orthogonal_pairs(case, j_max):
     # the full fibers of the solved half grid, solved as the package solves
     # a piece with no split part: equal bit for bit
     count = grid.size // 2 + 1
-    half = [fbstab.stability._piece_extremes(np.empty((count, 0)), X)
+    half = [fbstab.stability._piece_extremes(np.empty((count, 0)), X, np.zeros(count),
+                                             (math.inf, 0.0))
             for X in recursion_fibers(pair, j_max, grid.points[:count])]
     assert [(r.lower, r.upper) for r in reports] == half
 
 
 @st.composite
-def _linear_phase_pairs(draw):
+def _linear_phase_pairs(draw, kinds=("orthogonal", "symmetric", "antisymmetric")):
     """A real symmetric low-pass, assemble(FactoredLowpass(n, p)) with p
     symmetric (1..6 taps at offsets -2..2, so the centre c_h = lo + hi takes
     both parities), paired with its orthogonal high-pass or with a random
     non-orthogonal high-pass whose taps are symmetric with zero sum or
-    antisymmetric, of a length that makes c_g - c_h even; and a grid of
-    5..16 points."""
+    antisymmetric, of a length that makes c_g - c_h even (one of `kinds`);
+    and a grid of 5..16 points."""
     n = draw(st.integers(1, 4))
     half = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3))
     taps = np.array(half + half[::-1][draw(st.integers(0, 1)):])
@@ -497,7 +500,7 @@ def _linear_phase_pairs(draw):
     # assemble's convolutions may round mirrored taps apart by an ulp
     c = h.coeffs.real
     h = seq(h.offset, (c + c[::-1]) / 2.0)
-    kind = draw(st.sampled_from(["orthogonal", "symmetric", "antisymmetric"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "orthogonal":
         g = orthogonal_highpass(h)
     else:
@@ -520,16 +523,50 @@ def _linear_phase_pairs(draw):
 def test_gramian_real_build_of_random_linear_phase_pairs(case, j_max):
     pair, grid = case
     assert fbstab.stability._real_form(pair) is not None
-    for a, M in gramian_fibers(pair, j_max, grid.points):
-        assert a.dtype == M.dtype == np.float64
+    for a, M, floor in gramian_fibers(pair, j_max, grid.points):
+        assert a.dtype == M.dtype == floor.dtype == np.float64
     _assert_profile_matches_oracle(pair, j_max, grid)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(_linear_phase_pairs(("orthogonal",)), st.integers(1, 7))
+def test_gramian_floor_bounds_each_fiber_from_below(case, j):
+    pair, grid = case
+    assert fbstab.stability._channel_orthogonal(pair)
+    for a, M, floor in gramian_fibers(pair, j, grid.points):
+        w = np.linalg.eigvalsh(np.swapaxes(M, -1, -2) @ M)
+        assert np.all(floor <= w[:, 0] + 1e-13 * np.maximum(1.0, w[:, -1]))
+        # grid.points[0] is xi = 0, where the fiber has a singular value 1
+        sv = np.concatenate([a[0], np.linalg.svd(M[0], compute_uv=False)])
+        assert float(np.min(np.abs(sv - 1.0))) <= 1e-12
+
+
+def _golden_complex_pair():
+    """ba-0.7 with the complex high-pass of the golden certify case."""
+    path = Path(__file__).resolve().parent / "golden" / "highpass-ba-0.7-complex.json"
+    with open(path) as fh:
+        return FilterPair(burt_adelson(0.7), FiniteSeq.from_json_obj(json.load(fh)))
+
+
+def test_gramian_floor_is_zero_unless_the_split_build_is_real():
+    orth = ba_pair(0.7)
+    laplacian = FilterPair(orth.h, seq(-1, [-0.5, 1.0, -0.5]))
+    assert fbstab.stability._real_form(laplacian) is not None
+    # i times the orthogonal high-pass: channel-orthogonal, complex build
+    rotated = FilterPair(orth.h, FiniteSeq(orth.g.offset, 1j * orth.g.coeffs))
+    assert fbstab.stability._channel_orthogonal(rotated)
+    for pair in (laplacian, _golden_complex_pair(), rotated):
+        assert (fbstab.stability._real_form(pair) is None
+                or not fbstab.stability._channel_orthogonal(pair))
+        for _, _, floor in gramian_fibers(pair, 5, GRID.points[:64]):
+            assert floor.shape == (64,) and not np.any(floor)
 
 
 def test_gramian_odd_centre_difference_keeps_complex_build():
     # linear-phase g and h with c_g - c_h = 1
     pair = FilterPair(burt_adelson(0.7), seq(0, [0.5, -0.5]))
     assert fbstab.stability._real_form(pair) is None
-    for _, M in gramian_fibers(pair, 4, GRID.points[:8]):
+    for _, M, _ in gramian_fibers(pair, 4, GRID.points[:8]):
         assert M.dtype == np.complex128
     _assert_profile_matches_oracle(pair, 6, Grid(64))
 
@@ -621,6 +658,37 @@ def test_gramian_profile_equals_bounds_of_each_order(pair, size, monkeypatch):
     for workers in (1, 2, 3, 7):
         monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", workers)
         assert gramian_profile(pair, 6, grid) == expected
+
+
+@pytest.mark.parametrize("pair,settles", [
+    (ba_pair(0.55), False), (ba_pair(0.7), True), (ho_pair(0.4), False),
+    (ho_pair(1.0), True), (haar_pair(), False), (_golden_complex_pair(), False)],
+    ids=["ba-0.55", "ba-0.7", "ho-0.4", "ho-1.0", "haar", "ba-0.7-complex"])
+@pytest.mark.parametrize("size", [255, 2048])
+def test_gramian_settled_slices_leave_reports_bit_identical(pair, settles, size,
+                                                            monkeypatch):
+    grid = Grid(size)
+    cholesky = np.linalg.cholesky
+    settled = []
+
+    def counting_cholesky(gram):
+        factor = cholesky(gram)
+        settled.append(len(gram))
+        return factor
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    margin = fbstab.stability._MARGIN
+    # with an infinite margin no floor test passes: every slice is solved
+    monkeypatch.setattr(fbstab.stability, "_MARGIN", math.inf)
+    monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", 1)
+    expected = gramian_profile(pair, 6, grid)
+    assert not settled
+    monkeypatch.setattr(fbstab.stability, "_MARGIN", margin)
+    for workers in (1, 2):
+        monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", workers)
+        settled.clear()
+        assert gramian_profile(pair, 6, grid) == expected
+        assert bool(settled) == settles
 
 
 def test_gramian_small_batches_stay_on_calling_thread(monkeypatch):
