@@ -13,8 +13,10 @@ certificate in a `certify` report is its dataclass's fields, key for key
 (e.g. `BesselCertificate.grid` is `"grid"`).
 
 Exit codes: 0 all requested certificates pass, 2 a certificate failed,
-1 usage or input error.  A NaN or infinite `--a` or filter tap is an input
-error: NaN never passes a filter axiom.
+1 usage or input error.  An input error is a ValueError or OSError, printed
+as one `error:` line on stderr; any other exception is a bug and keeps its
+traceback.  A NaN or infinite `--a` or filter tap is an input error: NaN
+never passes a filter axiom.
 """
 
 from __future__ import annotations
@@ -62,12 +64,11 @@ def _fmt(x) -> str:
 
 
 def _json_dumps(obj, level: int = 0) -> str:
-    """JSON with the same fixed float formatting as the CSV output."""
+    """JSON with the CSV output's number formatting (_fmt); no report holds
+    an empty dict."""
     pad = "  " * level
     inner = "  " * (level + 1)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         items = [f'{inner}{json.dumps(k)}: {_json_dumps(v, level + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -78,45 +79,38 @@ def _json_dumps(obj, level: int = 0) -> str:
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    if obj is None:
-        return "null"
+    if isinstance(obj, (int, float, np.integer, np.floating)):
+        return _fmt(obj)
     return json.dumps(obj)
 
 
 def _write_out(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        sys.stdout.write(text + "\n")
     else:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text + "\n")
 
 
 def _read_seq(path: str) -> FiniteSeq:
-    """The sequence in a JSON file.  A ValueError, malformed JSON included,
-    is prefixed with the path, so an error names the file that caused it."""
+    """The sequence in a JSON file.  A ValueError (malformed JSON included)
+    or JSON nested too deep to parse is raised as a ValueError naming path."""
     with open(path) as fh:
         try:
             return FiniteSeq.from_json_obj(json.load(fh))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
 def _family_filter(family: str, a: float) -> tuple[FiniteSeq, FactoredLowpass]:
+    """The member a of a FAMILIES entry (argparse's choices check the name)."""
     if family == "burt-adelson":
         h = burt_adelson(a)
         return h, factor(h)
-    if family == "higher-order":
-        # the a = 0 boundary member (p = delta) is a valid low-pass filter
-        # and is needed by sweeps starting at 0
-        f = FactoredLowpass(3, delta()) if a == 0.0 else higher_order(a)
-        return assemble(f), f
-    raise ValueError(f"unknown family {family!r}")
+    # the higher-order a = 0 boundary member (p = delta) is a valid
+    # low-pass filter and is needed by sweeps starting at 0
+    f = FactoredLowpass(3, delta()) if a == 0.0 else higher_order(a)
+    return assemble(f), f
 
 
 def _load_lowpass(args) -> tuple[FiniteSeq, FactoredLowpass]:
@@ -307,7 +301,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

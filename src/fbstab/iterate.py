@@ -97,28 +97,19 @@ def _cascade_energies(filters: tuple[FiniteSeq, FiniteSeq],
         yield _energy(channel), _energy(low)
 
 
-def cascade(pair: FilterPair, x: FiniteSeq) -> Iterator[tuple[FiniteSeq, FiniteSeq]]:
-    """Yield (channel, low) for levels 1, 2, ... of the two-channel cascade:
-    channel = D(low * involute(g)) and the next low = D(low * involute(h)).
-    The generator is unbounded; callers stop it.
-
-    The levels are computed on bare arrays (see _cascade_arrays); each is
-    wrapped in a FiniteSeq only here, as it is handed out."""
-    for (c_off, c), (l_off, low) in _cascade_arrays(_analysis_filters(pair), x):
-        yield FiniteSeq(c_off, c), FiniteSeq(l_off, low)
-
-
 def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
     """Order-j analysis: channels[l] = D^l(x * involute(g_l)) plus the
     residual D^j(x * involute(h_j)).
 
-    Computed as the two-channel cascade (filter then downsample at each
-    level), which agrees with the iterated-filter formulas through the
-    noble identity.  j must be an integer in 1..J_MAX.
+    Computed by the two-channel cascade on bare arrays (_cascade_arrays),
+    which agrees with the iterated-filter formulas through the noble
+    identity; only the j channels and the last low become FiniteSeqs.
+    j must be an integer in 1..J_MAX.
     """
     j = _count("iteration order", j, 1, J_MAX)
-    levels = list(islice(cascade(pair, x), j))
-    return AnalysisOutput(j, [c for c, _ in levels], levels[-1][1])
+    levels = list(islice(_cascade_arrays(_analysis_filters(pair), x), j))
+    return AnalysisOutput(j, [FiniteSeq(*c) for c, _ in levels],
+                          FiniteSeq(*levels[-1][1]))
 
 
 def energy_profile(pair: FilterPair, x: FiniteSeq, j_max: int) -> list[float]:

@@ -17,7 +17,7 @@ from itertools import islice
 
 import numpy as np
 
-from .filters import FactoredLowpass, FilterPair
+from .filters import SQRT2, FactoredLowpass, FilterPair
 from .iterate import J_MAX, _analysis_filters, _cascade_energies, lowpass_residual_norms
 from .seqcore import (
     FiniteSeq,
@@ -27,8 +27,6 @@ from .seqcore import (
     dtft_grid,
     norm_sq,
 )
-
-SQRT2 = math.sqrt(2.0)
 
 TOL_SPAN = 1e-9
 # Allowance for float round-off in the strict grid test; Haar sits exactly on
@@ -43,15 +41,15 @@ SVD_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 # Solve work (fibers x 8^J, the cost order of a dense solve of 2^J-square
 # fibers) of one chunk that each worker must get before the grid is walked
-# on a thread pool.  Below it the pool costs more than it saves.  Measured
-# on a 2-core host with the floor forced to 1 (when the solve was an SVD):
-# an order-3 gramian_profile on 1024 points took 10.6 ms of CPU against
-# 8.5 ms on the calling thread, and bound_transfer_check ran about 20%
-# longer, though the pool built 513 fibers instead of 1024.
+# on a thread pool; below it the pool costs more CPU than it saves time.
+# With the floor forced to 1 an order-3 gramian_profile on 1024 points took
+# 13.1 ms of CPU against 10.9 (wall 10.5 against 11.4 ms); at order 4 on
+# 8192 points two workers took 68 ms against 158 ms on the calling thread.
 SVD_PART_WORK = 1 << 22
-# Gram entries per eigvalsh call of the real Gramian solve (128 KB), so
-# the Gram matrices stay small beside the build; slices cost 4-12% of a
-# j = 6 solve against one call per build (2-core host, one BLAS thread).
+# Gram entries per eigvalsh call of the real Gramian solve (128 KB).  One
+# call per build leaves no slice to skip: gramian_bounds at order 4 on 8192
+# points took 80 ms against 69; at order 3 on 1024 points a build is one
+# slice.  Both: 2-core host, one BLAS thread, medians of 15 alternated runs.
 GRAM_SLICE = 1 << 14
 # safety margin of the certificates that let _piece_extremes leave a slice
 # of Gram matrices unsolved; see there for what it covers
@@ -63,9 +61,8 @@ class GridTooCoarseError(ValueError):
 
 
 def trig_degree(x: FiniteSeq) -> int:
-    """Degree of the trigonometric polynomial x^ (max absolute frequency)."""
-    if x.is_zero:
-        return 0
+    """Degree of the trigonometric polynomial x^ (max absolute frequency),
+    x nonzero."""
     lo, hi = x.support
     return max(abs(lo), abs(hi))
 
@@ -97,9 +94,8 @@ def dilated_product(p: FiniteSeq, s: int) -> FiniteSeq:
 
     Level k is q_k = sum_t p(t) q_(k-1)(. - 2^k t), one strided add per tap
     of p, in O(len q * taps p); each level is trimmed as a FiniteSeq.
+    p must be nonzero, as a FactoredLowpass's p (p^(0) = 1) is.
     """
-    if p.is_zero:
-        return p
     q = p
     for k in range(1, s):
         step = 1 << k
@@ -131,7 +127,8 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
     grid_max = float(np.max(np.abs(dtft_grid(q, grid.size))))
     sup_value = grid_max / (1.0 - math.pi * d / grid.size)
     threshold = 2.0 ** ((f.n - 0.5) * s)
-    epsilon = f.n - math.log2(sup_value) / s if sup_value > 0 else math.inf
+    # sup_value >= grid_max >= |q^(0)|, about p^(0)^s = 1: the log is finite
+    epsilon = f.n - math.log2(sup_value) / s
     return BesselCertificate(
         s=s, n=f.n, sup_value=sup_value, threshold=threshold, epsilon=epsilon,
         verdict=sup_value < threshold, grid=grid.size, grid_max=grid_max,

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface: exit codes, output
 formats, and determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,15 +10,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import fbstab.cli
 import fbstab.stability
-from fbstab.cli import main
+from fbstab.cli import FAMILIES, main
 from fbstab.seqcore import GRID_CAP, INDEX_CAP
 from fbstab.stability import GRAMIAN_J_CAP
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 HAAR_JSON = {"offset": 0, "coeffs": [1 / math.sqrt(2), 1 / math.sqrt(2)]}
+BA_07 = ("--family", "burt-adelson", "--a", "0.7")
 
 
 def run(capsys, *argv):
@@ -142,6 +147,17 @@ def test_sequence_file_errors_name_the_file(tmp_path, capsys):
     bad.write_text("not json")
     assert main(["certify", "--filter", str(good), "--highpass", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {bad}: Expecting value")
+
+
+def test_certify_rejects_a_filter_that_fails_the_axiom_at_half(tmp_path, capsys):
+    # h^(0) = sqrt(2) but h^(1/2) = sqrt(2), not 0
+    path = tmp_path / "delta.json"
+    path.write_text(json.dumps({"offset": 0, "coeffs": [math.sqrt(2)]}))
+    assert main(["certify", "--filter", str(path), "--grid", "64"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: low-pass axiom violated: transform at 1/2 is ")
+    assert err.endswith(", expected 0\n") and len(err.splitlines()) == 1
 
 
 def test_sequence_indices_are_bounded(tmp_path, capsys):
@@ -486,3 +502,111 @@ def test_grid_above_cap_rejected_before_work(monkeypatch, capsys):
     assert main(["sweep", "--family", "burt-adelson", "--a-min", "0.5",
                  "--a-max", "0.7", "--grid", too_big]) == 1
     assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
+# Random sequence files and --a values: main answers 0, 1 or 2 and never
+# raises; a malformed file, or one with a NaN or infinite tap, is exit 1
+# with one `error:` line
+
+
+_NUM = st.floats(-4.0, 4.0)
+_BAD_TAP = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                     st.dictionaries(st.text(max_size=2), _NUM, max_size=1),
+                     st.lists(_NUM, max_size=1), st.lists(_NUM, min_size=3, max_size=3))
+
+
+def _not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+@st.composite
+def _taps(draw):
+    """1..6 taps: random numbers and [re, im] pairs, or a low-pass filter
+    (1, 1)/sqrt(2) * p / p^(0) for a random p."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.one_of(_NUM, st.lists(_NUM, min_size=2, max_size=2)),
+                             min_size=1, max_size=6))
+    p = np.array(draw(st.lists(_NUM, min_size=1, max_size=4)))
+    assume(abs(p.sum()) > 0.25)
+    return np.convolve([1 / math.sqrt(2)] * 2, p / p.sum()).tolist()
+
+
+@st.composite
+def _sequence_files(draw):
+    """(kind, file bytes) for a sequence file of one of five kinds."""
+    kind = draw(st.sampled_from(["valid", "far", "nonfinite", "wrong_type", "malformed"]))
+    if kind == "malformed":
+        return kind, draw(st.one_of(
+            st.text(max_size=12).filter(_not_json).map(str.encode),
+            st.binary(min_size=1, max_size=6).map(lambda b: b"\xff" + b)))  # not UTF-8
+    obj = {"offset": draw(st.integers(-8, 8)), "coeffs": draw(_taps())}
+    taps = obj["coeffs"]
+    if kind == "far":
+        obj["offset"] = draw(st.sampled_from([1, -1])) * draw(st.one_of(
+            st.integers(INDEX_CAP - 8, INDEX_CAP + 8), st.sampled_from([10 ** 11, 10 ** 30])))
+    elif kind == "nonfinite":
+        taps[draw(st.integers(0, len(taps) - 1))] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "wrong_type":
+        wrong = draw(st.sampled_from(["top", "offset", "coeffs", "tap", "key"]))
+        if wrong == "top":
+            obj = draw(st.one_of(st.none(), st.booleans(), st.integers(),
+                                 st.text(max_size=4), st.lists(_NUM, max_size=3)))
+        elif wrong == "offset":
+            obj["offset"] = draw(st.one_of(st.none(), st.booleans(), st.floats(),
+                                           st.text(max_size=3), st.lists(st.integers(), max_size=2)))
+        elif wrong == "coeffs":
+            obj["coeffs"] = draw(st.one_of(st.none(), _NUM, st.text(max_size=3),
+                                           st.dictionaries(st.text(max_size=2), _NUM, max_size=1)))
+        elif wrong == "tap":
+            taps[draw(st.integers(0, len(taps) - 1))] = draw(_BAD_TAP)
+        else:
+            del obj[draw(st.sampled_from(["offset", "coeffs"]))]
+    return kind, json.dumps(obj).encode()
+
+
+def _main_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(case=_sequence_files(), role=st.sampled_from(["filter", "highpass", "signal"]))
+# nested beyond the JSON parser's depth, which raises RecursionError
+@example(case=("malformed", b"[" * 100_000 + b"]" * 100_000), role="filter")
+def test_cli_input_files_exit_cleanly(tmp_path_factory, case, role):
+    kind, data = case
+    path = tmp_path_factory.getbasetemp() / "cli-input.json"
+    path.write_bytes(data)
+    small = ["--grid", "32", "--order", "1", "--s-max", "1"]
+    argv = {"filter": ["certify", "--filter", str(path), *small],
+            "highpass": ["certify", *BA_07, "--highpass", str(path), *small],
+            "signal": ["apply", *BA_07, "--signal", str(path), "--order", "2"]}[role]
+    code, out, err = _main_captured(argv)
+    assert code in (0, 1, 2)
+    if kind in ("nonfinite", "wrong_type", "malformed"):
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(family=st.sampled_from(FAMILIES),
+       a=st.one_of(st.text(max_size=8), st.floats().map(repr),
+                   st.sampled_from(["nan", "-inf", "1e999", "0", "-0", "0.7", "1e-320"])))
+def test_cli_family_parameter_strings_exit_cleanly(family, a):
+    code, out, err = _main_captured(["certify", "--family", family, f"--a={a}",
+                                     "--grid", "32", "--order", "1", "--s-max", "1"])
+    assert code in (0, 1, 2)
+    try:
+        finite = math.isfinite(float(a))
+    except ValueError:
+        finite = False
+    if not finite:
+        assert (code, out) == (1, "") and err

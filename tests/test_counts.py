@@ -73,7 +73,7 @@ CASES = {
         [(fbstab.stability, "gramian_profile"), (fbstab.stability, "gramian_fibers")],
         3, (-1,), lambda r: r),
     "analyze.j": (
-        lambda j: analyze(PAIR, X, j), [(fbstab.iterate, "cascade")], 2,
+        lambda j: analyze(PAIR, X, j), [(fbstab.iterate, "_cascade_arrays")], 2,
         (0, fbstab.iterate.J_MAX + 1), lambda out: (type(out.order), out.to_json_obj())),
     "energy_profile.j_max": (
         lambda j: energy_profile(PAIR, X, j), [(fbstab.iterate, "_cascade_energies")],

@@ -201,3 +201,12 @@ def test_factored_lowpass_validation():
 def test_check_lowpass_reports_values():
     with pytest.raises(FilterError):
         check_lowpass(seq(0, [1.0, 1.0]))
+
+
+def test_lowpass_axiom_at_half():
+    # h^(0) = sqrt(2) holds and h^(1/2) = sqrt(2) does not vanish
+    h = seq(0, [SQRT2])
+    with pytest.raises(FilterError, match=r"transform at 1/2 is .*expected 0"):
+        check_lowpass(h)
+    with pytest.raises(FilterError, match=r"transform at 1/2 is .*expected 0"):
+        FilterPair(h, orthogonal_highpass(HAAR))

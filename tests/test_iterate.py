@@ -3,7 +3,6 @@ low-pass transfer operator."""
 
 import json
 import math
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,6 @@ from fbstab.filters import (
 )
 from fbstab.iterate import (
     analyze,
-    cascade,
     contraction_certificate,
     energy_profile,
     lowpass_residual_norms,
@@ -103,21 +101,6 @@ def test_analysis_channels_are_inner_products():
     for k in range(-6, 7):
         ref = inner(x, translate(h_list[j - 1], (1 << j) * k))
         assert abs(at(out.lowpass_residual, k) - ref) < 1e-12
-
-
-def test_cascade_matches_analyze_exactly():
-    # a local generator keeps the module RNG stream of later tests unchanged
-    x = seq(-3, np.random.default_rng(3).standard_normal(12))
-
-    def same(a, b):
-        return a.offset == b.offset and np.array_equal(a.coeffs, b.coeffs)
-
-    for pair in (haar_pair(), ba_pair(0.7)):
-        levels = list(islice(cascade(pair, x), 6))
-        for j in range(1, 7):
-            out = analyze(pair, x, j)
-            assert all(same(c, levels[l][0]) for l, c in enumerate(out.channels))
-            assert same(out.lowpass_residual, levels[j - 1][1])
 
 
 def test_haar_energy_parseval():
@@ -285,9 +268,12 @@ def _assert_matches_reference(pair, x, depth):
         return (a.offset == b.offset and a.coeffs.dtype == b.coeffs.dtype
                 and a.coeffs.tobytes() == b.coeffs.tobytes())
 
-    levels = list(islice(cascade(pair, x), depth))
-    for (c, low), (ref_c, ref_low) in zip(levels, cascade_levels(pair, x, depth), strict=True):
-        assert same(c, ref_c) and same(low, ref_low)
+    levels = cascade_levels(pair, x, depth)
+    for j in range(1, depth + 1):
+        out = analyze(pair, x, j)
+        assert all(same(c, ref_c) for c, (ref_c, _) in
+                   zip(out.channels, levels[:j], strict=True))
+        assert same(out.lowpass_residual, levels[j - 1][1])
     assert energy_profile(pair, x, depth) == cascade_energies(pair, x, depth)
     assert lowpass_residual_norms(pair, x, depth) == cascade_residual_norms(pair, x, depth)
 

@@ -34,6 +34,7 @@ from fbstab.seqcore import (
     zero_seq,
 )
 from fbstab.stability import (
+    GramianReport,
     GridTooCoarseError,
     bessel_certificate,
     bound_transfer_check,
@@ -915,6 +916,31 @@ def test_bound_transfer_flags_degenerate_pair():
                                n_signals=8, seed=0)
     assert not rep.ok
     assert any("not stable" in v for v in rep.violations)
+
+
+def test_bound_transfer_flags_a_lower_bound_below_the_envelope(monkeypatch):
+    # Haar's sampled envelope is [1, 1]; an order-2 lower bound of 0.5 sits
+    # below min(A, A/B) while the transferred envelope still holds every
+    # quotient
+    def profile(pair, j_max, grid):
+        return [GramianReport(j, 0.5 if j == 2 else 1.0, 1.0, grid.size)
+                for j in range(1, j_max + 1)]
+
+    monkeypatch.setattr(fbstab.stability, "gramian_profile", profile)
+    rep = bound_transfer_check(haar_pair(), 3, Grid(64), n_signals=8, seed=0)
+    assert not rep.ok
+    assert len(rep.violations) == 1
+    assert rep.violations[0].startswith("order 2: lower bound 0.5 below min(A, A/B) = ")
+    assert rep.violations[0].endswith(" (seed 0)")
+
+
+def test_bound_transfer_flags_a_residual_that_does_not_decay(monkeypatch):
+    monkeypatch.setattr(fbstab.stability, "lowpass_residual_norms",
+                        lambda pair, x, j_max: [1.0] * j_max)
+    rep = bound_transfer_check(haar_pair(), 2, Grid(64), n_signals=8, seed=0)
+    assert not rep.ok
+    assert rep.violations == [
+        "residual norm not decaying: 1.000e+00 at depth 16 (seed 0)"]
 
 
 def test_bound_transfer_rejects_orders_outside_cap_before_work(monkeypatch):
