@@ -13,10 +13,13 @@ certificate in a `certify` report is its dataclass's fields, key for key
 (e.g. `BesselCertificate.grid` is `"grid"`).
 
 Exit codes: 0 all requested certificates pass, 2 a certificate failed,
-1 usage or input error.  An input error is a ValueError or OSError, printed
-as one `error:` line on stderr; any other exception is a bug and keeps its
-traceback.  A NaN or infinite `--a` or filter tap is an input error: NaN
-never passes a filter axiom.
+1 usage or input error.  An input error is a ValueError, OSError or
+FloatingPointError, printed as one `error:` line on stderr, and no `--out`
+file is written; any other exception is a bug and keeps its traceback.  A
+NaN or infinite `--a` or filter tap is an input error: NaN never passes a
+filter axiom.  So is an input whose arithmetic overflows (numpy runs each
+command with overflow and invalid operations raising), and a report that
+would hold an infinite or NaN number.
 """
 
 from __future__ import annotations
@@ -55,12 +58,19 @@ FAMILIES = ("burt-adelson", "higher-order")
 
 
 def _fmt(x) -> str:
-    """Deterministic scalar formatting: bools as 0/1, floats at 17 digits."""
+    """Deterministic scalar formatting: bools as 0/1, floats at 17 digits.
+    An infinite or NaN float is a ValueError: neither JSON nor the CSV
+    readers take the bare `inf` and `nan` tokens it would print as."""
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return format(float(x), ".17g")
+    v = float(x)
+    # `abs(v) <= max` is False for NaN and infinity
+    if not abs(v) <= sys.float_info.max:
+        raise ValueError(f"the report holds a non-finite value ({v}): an input "
+                         f"is beyond double precision")
+    return format(v, ".17g")
 
 
 def _json_dumps(obj, level: int = 0) -> str:
@@ -300,8 +310,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        # numpy raises an overflow or invalid operation as FloatingPointError
+        # here rather than warning and going on with inf or NaN
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,12 @@ plus the Gramian fiberization that yields the exact frame bounds of the
 order-j finite filter bank.  The Bessel certificate is rigorous (grid max
 inflated by a Bernstein derivative bound); the remaining grid checks are
 sampled estimates, with the grid size recorded so users can refine.
+
+The Bessel product, the span determinant and the std-expand profile read
+their transforms from FFTs (seqcore.dtft_grid): the product on the grid of
+N points, span and std-expand from one FFT per filter on the doubled grid
+of 2N points.  The expand eigenvalues and the Gramian fibers sum each
+transform directly (seqcore.dtft_at).
 """
 
 from __future__ import annotations
@@ -139,19 +145,18 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
 # Expanding condition and eigenvalue profiles
 
 
-def _two_channel_values(pair: FilterPair, xi: np.ndarray):
-    """Transforms of g and h at xi and xi + 1/2."""
+def mstar_m_eigenfunctions(pair: FilterPair, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise eigenvalues (lambda_min, lambda_max) of M(xi)* M(xi), where
+    M is the 1/sqrt(2)-scaled two-channel matrix, in closed form, from the
+    transforms of g and h at xi and xi + 1/2 (dtft_at)."""
+    xi = grid.points
     g0 = dtft_at(pair.g, xi)
     g1 = dtft_at(pair.g, xi + 0.5)
     h0 = dtft_at(pair.h, xi)
     h1 = dtft_at(pair.h, xi + 0.5)
-    return g0, g1, h0, h1
-
-
-def mstar_m_eigenfunctions(pair: FilterPair, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise eigenvalues (lambda_min, lambda_max) of M(xi)* M(xi), where
-    M is the 1/sqrt(2)-scaled two-channel matrix, in closed form."""
-    g0, g1, h0, h1 = _two_channel_values(pair, grid.points)
+    # freed before the eigenvalue arrays are formed: at the grid cap the
+    # points are 32 MB of the peak
+    del xi
     # M*M = [[a, b], [conj(b), d]]; the discriminant form of the closed-form
     # eigenvalues (mean +- sqrt(mean^2 - det)) avoids cancellation when the
     # matrix is close to a multiple of the identity.
@@ -189,10 +194,15 @@ def expand_certificate(pair: FilterPair, grid: Grid) -> ExpandCertificate:
 
 def std_expand_profile(h: FiniteSeq, grid: Grid) -> np.ndarray:
     """|h^(xi)|^2 + |h^(xi+1/2)|^2 over the grid; its minimum is >= 2 exactly
-    when the orthogonal high-pass makes the two-channel matrix expanding."""
-    h0 = dtft_at(h, grid.points)
-    h1 = dtft_at(h, grid.points + 0.5)
-    return np.abs(h0) ** 2 + np.abs(h1) ** 2
+    when the orthogonal high-pass makes the two-channel matrix expanding.
+
+    With N = grid.size, xi = m/N and xi + 1/2 are the points 2m and
+    (2m + N) mod 2N of the doubled grid, so one dtft_grid of length 2N gives
+    both.  A translate of h has the same |h^|, so the FFT reads h's taps
+    from index 0: the profile does not depend on h's offset, bit for bit."""
+    n = grid.size
+    power = np.abs(dtft_grid(FiniteSeq(0, h.coeffs), 2 * n)) ** 2
+    return power[::2] + np.roll(power, n)[::2]
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +222,30 @@ class SpanCertificate:
 
 
 def span_certificate(pair: FilterPair, grid: Grid) -> SpanCertificate:
-    half = grid.points / 2.0
-    g0, g1, h0, h1 = _two_channel_values(pair, half)
-    det = np.abs(h0 * g1 - g0 * h1)
+    """Grid minimum over xi = m/N of |h^(u) g^(u + 1/2) - g^(u) h^(u + 1/2)|,
+    u = xi/2.
+
+    The points u and u + 1/2 are the points m and m + N of the doubled grid
+    of 2N points, so each filter takes one dtft_grid of length 2N, read from
+    its taps at index 0: x^ is e^(-2 pi i lo u) times that transform, for x
+    starting at index lo.  At u + 1/2 the phase gains (-1)^lo, so the two
+    products differ in phase only by (-1)^(lo_h - lo_g), which is all that
+    is left of the offsets: det_min is the same bits for any translates
+    that keep the parity of lo_h - lo_g, as the orthogonal_highpass of a
+    translated h does."""
+    n = grid.size
+    G = dtft_grid(FiniteSeq(0, pair.g.coeffs), 2 * n)
+    H = dtft_grid(FiniteSeq(0, pair.h.coeffs), 2 * n)
+    # each product overwrites the half it no longer needs, so nothing
+    # beyond the two FFTs is held until the modulus
+    prod, cross = H[:n], G[:n]
+    prod *= G[n:]
+    cross *= H[n:]
+    if (pair.h.offset - pair.g.offset) % 2:  # (-1)^(lo_h - lo_g) = -1
+        prod += cross
+    else:
+        prod -= cross
+    det = np.abs(prod)
     det_min = float(np.min(det))
     return SpanCertificate(det_min=det_min, verdict=det_min > TOL_SPAN,
                            grid=grid.size)

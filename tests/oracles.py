@@ -4,7 +4,8 @@ None of these is used by the package: the index-aligned sequence helpers
 (`at`, `translate`, `inner`, `seq_close`, `shift_invariant_close`) and the
 multirate operators (`downsample`, `upsample`) state the tests'
 expectations, the one-matrix DTFT checks the package's blocked
-`dtft_at` bit for bit, the dense pre-Gramian and the
+`dtft_at` bit for bit, the directly summed span determinant and
+std-expand profile check the package's FFT forms, the dense pre-Gramian and the
 time-domain iterated filters cross-check the factored Gramian fibers and
 the analysis cascade, the FiniteSeq cascade checks the package's
 array cascade bit for bit, the full recursion fibers and the full-grid
@@ -46,6 +47,27 @@ def dtft_dense(x: FiniteSeq, xi) -> np.ndarray:
     if np.ndim(xi) == 0:
         return out.reshape(())[()]
     return out
+
+
+def span_det_by_dtft_at(pair: FilterPair, grid: Grid) -> np.ndarray:
+    """|h^(u) g^(u + 1/2) - g^(u) h^(u + 1/2)| at u = xi/2 over the grid,
+    each transform summed directly by dtft_at: the span determinant before
+    the package read it from FFTs on the doubled grid."""
+    half = grid.points / 2.0
+    g0 = dtft_at(pair.g, half)
+    g1 = dtft_at(pair.g, half + 0.5)
+    h0 = dtft_at(pair.h, half)
+    h1 = dtft_at(pair.h, half + 0.5)
+    return np.abs(h0 * g1 - g0 * h1)
+
+
+def std_expand_by_dtft_at(h: FiniteSeq, grid: Grid) -> np.ndarray:
+    """|h^(xi)|^2 + |h^(xi + 1/2)|^2 over the grid, each transform summed
+    directly by dtft_at: the std-expand profile before the package read it
+    from one FFT on the doubled grid."""
+    h0 = dtft_at(h, grid.points)
+    h1 = dtft_at(h, grid.points + 0.5)
+    return np.abs(h0) ** 2 + np.abs(h1) ** 2
 
 
 def at(x: FiniteSeq, n: int) -> complex:

@@ -353,6 +353,43 @@ def test_apply_haar_energy_identity(tmp_path, capsys):
                                                    abs=1e-10)
 
 
+def test_apply_overflowing_signal_is_an_input_error(tmp_path, capsys):
+    # the channel energies of this signal overflow to inf, which used to be
+    # printed as bare `inf` tokens (not JSON) with exit 0
+    sig = tmp_path / "x.json"
+    sig.write_text(json.dumps({"offset": 0, "coeffs": [1e300, 1e300]}))
+    out_file = tmp_path / "out.json"
+    code = main(["apply", "--family", "burt-adelson", "--a", "0.7", "--order", "2",
+                 "--signal", str(sig), "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_report_with_a_non_finite_value_is_an_input_error(bad, monkeypatch, tmp_path,
+                                                          capsys):
+    # a value that no numpy operation flagged (a LAPACK result, a pool
+    # thread's arithmetic) still never reaches the output
+    real = fbstab.cli.std_expand_profile
+
+    def profile_with(h, grid):
+        vals = real(h, grid)
+        vals[3] = bad
+        return vals
+
+    monkeypatch.setattr(fbstab.cli, "std_expand_profile", profile_with)
+    out_file = tmp_path / "out.csv"
+    code = main(["profile", "--which", "std-expand", *BA_07, "--grid", "8",
+                 "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == (f"error: the report holds a non-finite value ({bad}): "
+                            f"an input is beyond double precision\n")
+    assert not out_file.exists()
+
+
 def test_apply_deterministic(tmp_path):
     sig = tmp_path / "x.json"
     sig.write_text(json.dumps({"offset": 1, "coeffs": [0.25, -1.5, 2.0]}))
@@ -507,10 +544,14 @@ def test_grid_above_cap_rejected_before_work(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # Random sequence files and --a values: main answers 0, 1 or 2 and never
 # raises; a malformed file, or one with a NaN or infinite tap, is exit 1
-# with one `error:` line
+# with one `error:` line, and so is any other exit 1; a report printed with
+# exit 0 or 2 is JSON with finite numbers only
 
 
 _NUM = st.floats(-4.0, 4.0)
+# a random tap: small, or anywhere up to +-1e300, where sums of squares
+# overflow
+_TAP = st.one_of(_NUM, st.floats(-1e300, 1e300))
 _BAD_TAP = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                      st.dictionaries(st.text(max_size=2), _NUM, max_size=1),
                      st.lists(_NUM, max_size=1), st.lists(_NUM, min_size=3, max_size=3))
@@ -529,7 +570,7 @@ def _taps(draw):
     """1..6 taps: random numbers and [re, im] pairs, or a low-pass filter
     (1, 1)/sqrt(2) * p / p^(0) for a random p."""
     if draw(st.booleans()):
-        return draw(st.lists(st.one_of(_NUM, st.lists(_NUM, min_size=2, max_size=2)),
+        return draw(st.lists(st.one_of(_TAP, st.lists(_TAP, min_size=2, max_size=2)),
                              min_size=1, max_size=6))
     p = np.array(draw(st.lists(_NUM, min_size=1, max_size=4)))
     assume(abs(p.sum()) > 0.25)
@@ -570,6 +611,13 @@ def _sequence_files(draw):
     return kind, json.dumps(obj).encode()
 
 
+def _strict_json(text):
+    """json.loads that also rejects the Infinity and NaN tokens."""
+    def reject(token):
+        raise ValueError(f"non-finite JSON number {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def _main_captured(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -581,6 +629,10 @@ def _main_captured(argv):
 @given(case=_sequence_files(), role=st.sampled_from(["filter", "highpass", "signal"]))
 # nested beyond the JSON parser's depth, which raises RecursionError
 @example(case=("malformed", b"[" * 100_000 + b"]" * 100_000), role="filter")
+# valid files whose arithmetic overflows: the signal's channel energies, and
+# the high-pass (its transform vanishes at 0) in the expand check
+@example(case=("valid", b'{"offset": 0, "coeffs": [1e300, 1e300]}'), role="signal")
+@example(case=("valid", b'{"offset": 0, "coeffs": [1e300, -1e300]}'), role="highpass")
 def test_cli_input_files_exit_cleanly(tmp_path_factory, case, role):
     kind, data = case
     path = tmp_path_factory.getbasetemp() / "cli-input.json"
@@ -594,6 +646,10 @@ def test_cli_input_files_exit_cleanly(tmp_path_factory, case, role):
     if kind in ("nonfinite", "wrong_type", "malformed"):
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+    elif code == 1:
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    else:
+        _strict_json(out)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)

@@ -24,6 +24,7 @@ from fbstab.filters import (
     orthogonal_highpass,
 )
 from fbstab.seqcore import (
+    INDEX_CAP,
     FiniteSeq,
     Grid,
     convolve,
@@ -60,6 +61,8 @@ from oracles import (
     gramian_profile_full_grid,
     recursion_fibers,
     sine_product_check,
+    span_det_by_dtft_at,
+    std_expand_by_dtft_at,
 )
 
 RNG = np.random.default_rng(5)
@@ -294,6 +297,48 @@ def test_span_detects_degenerate_pair():
     # scaled to zero leaves an empty span
     cert = span_certificate(FilterPair(HAAR, zero_seq()), GRID)
     assert not cert.verdict
+
+
+def _span_and_std_expand_cases():
+    """(pair, grid) over both families at small, odd, even and default
+    grids, plus the golden complex high-pass and a zero high-pass."""
+    pairs = ([ba_pair(a) for a in (0.3, 0.55, 0.625, 0.7, 0.8, 2.0)]
+             + [ho_pair(a) for a in (0.2, 0.5, 1.0, 1.6)])
+    pairs += [_golden_complex_pair(), FilterPair(burt_adelson(0.7), zero_seq())]
+    return [(pair, Grid(n)) for pair in pairs for n in (2, 255, 256, 8192)]
+
+
+def test_span_and_std_expand_match_direct_summation():
+    # the FFT forms on the doubled grid against the directly summed
+    # transforms; a zero high-pass has det = 0 at every point
+    for pair, grid in _span_and_std_expand_cases():
+        det = span_det_by_dtft_at(pair, grid)
+        assert span_certificate(pair, grid).det_min == pytest.approx(
+            float(np.min(det)), rel=1e-13, abs=1e-14)
+        assert std_expand_profile(pair.h, grid) == pytest.approx(
+            std_expand_by_dtft_at(pair.h, grid), rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [10, 14, 16, 20])
+def test_span_and_std_expand_do_not_depend_on_the_offset(k):
+    # phases n xi summed directly by dtft_at lose about |n| ulps, which
+    # moved these values by 1.3e-12 to 2.2e-9; the FFT forms read each
+    # filter's taps from index 0
+    for h in (HAAR, burt_adelson(0.7)):
+        for grid in (Grid(255), Grid(512)):
+            base_pair = FilterPair(h, orthogonal_highpass(h))
+            base_det = span_certificate(base_pair, grid).det_min
+            base_profile = std_expand_profile(h, grid)
+            # ba-0.7's five taps from 2^20 - 1 would pass INDEX_CAP; it then
+            # ends at the cap
+            top = INDEX_CAP - (h.coeffs.size - 1)
+            for offset in (min((1 << k) - 1, top), -((1 << k) - 1)):
+                moved = FiniteSeq(offset, h.coeffs)
+                pair = FilterPair(moved, orthogonal_highpass(moved))
+                np.testing.assert_array_max_ulp(
+                    span_certificate(pair, grid).det_min, base_det, maxulp=4)
+                np.testing.assert_array_max_ulp(
+                    std_expand_profile(moved, grid), base_profile, maxulp=4)
 
 
 # ---------------------------------------------------------------------------
