@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -259,7 +260,9 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default stdout)")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call, then shared: parsing leaves no state."""
     parser = argparse.ArgumentParser(
         prog="fbstab",
         description="Stability certificates and frame bounds for iterated "
@@ -304,9 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors; remap to 1
         return 0 if exc.code in (0, None) else 1
     try:

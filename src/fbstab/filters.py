@@ -11,7 +11,7 @@ import numpy as np
 
 from .seqcore import (
     FiniteSeq,
-    _is_int,
+    _count,
     convolve,
     dtft_at,
     seq,
@@ -80,18 +80,20 @@ class FactoredLowpass:
 
     The cosine factor is anchored on support {0, 1}; reconstructing via
     :func:`assemble` may therefore differ from an equivalent raw filter by
-    an integer shift, which affects no stability property.
+    an integer shift, which affects no stability property.  n passes the
+    count gate (`_count`, a numpy integer stored as int) or raises FilterError.
     """
 
     n: int
     p: FiniteSeq
 
     def __post_init__(self):
-        # the _count rule, raising FilterError: a cosine-factor order of 2.5
-        # would set a Bessel threshold of no filter
-        if not (_is_int(self.n) and self.n >= 1):
-            raise FilterError(f"cosine-factor order must be an integer >= 1, "
-                              f"got {self.n!r}")
+        # a cosine-factor order of 2.5 would set a Bessel threshold of no filter
+        try:
+            n = _count("cosine-factor order", self.n, 1)
+        except ValueError as exc:
+            raise FilterError(str(exc)) from None
+        object.__setattr__(self, "n", n)
         if not _finite(self.p):
             raise FilterError("p must satisfy p^(0) = 1 with finite taps, got a non-finite tap")
         p0 = dtft_at(self.p, 0.0)

@@ -49,18 +49,13 @@ def _trim(offset: int, c: np.ndarray) -> tuple[int, np.ndarray]:
     return offset + int(nz[0]), c[nz[0]:nz[-1] + 1]
 
 
-def _is_int(v) -> bool:
-    """Whether v is an integer, a numpy integer included; a bool is not."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def _count(name: str, value, least: int | None, most: int | None = None) -> int:
-    """value as an int when it is an integer (_is_int) in least..most, a
-    None end being open; else ValueError naming the count.  Every integer
-    count the package takes (a size, an order, a length, an offset) passes
-    here, so 2.0, True and 0.9 fail alike rather than act as 2, 1 or 0."""
-    if (_is_int(value) and (least is None or least <= value)
-            and (most is None or value <= most)):
+    """value as an int when it is an integer (numpy's too, a bool not) in
+    least..most, a None end open; else ValueError naming the count.  Every
+    integer count the package takes (a size, an order, a length, an offset, a
+    cosine-factor order) passes here: 2.0, True and 0.9 never act as 2, 1, 0."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and (least is None or least <= value) and (most is None or value <= most)):
         return int(value)
     if most is not None:
         raise ValueError(f"{name} must be in {least}..{most} and an integer, "

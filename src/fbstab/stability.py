@@ -148,15 +148,14 @@ def bessel_certificate(f: FactoredLowpass, s: int, grid: Grid) -> BesselCertific
 def mstar_m_eigenfunctions(pair: FilterPair, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise eigenvalues (lambda_min, lambda_max) of M(xi)* M(xi), where
     M is the 1/sqrt(2)-scaled two-channel matrix, in closed form, from the
-    transforms of g and h at xi and xi + 1/2 (dtft_at)."""
-    xi = grid.points
-    g0 = dtft_at(pair.g, xi)
-    g1 = dtft_at(pair.g, xi + 0.5)
-    h0 = dtft_at(pair.h, xi)
-    h1 = dtft_at(pair.h, xi + 0.5)
+    transforms of g and h at xi and xi + 1/2: one dtft_at call per filter
+    over both rows of points, which gives each point the same bits as a
+    call on its row alone."""
+    pts = grid.points + np.array([[0.0], [0.5]])
+    (g0, g1), (h0, h1) = dtft_at(pair.g, pts), dtft_at(pair.h, pts)
     # freed before the eigenvalue arrays are formed: at the grid cap the
-    # points are 32 MB of the peak
-    del xi
+    # points are 64 MB of the peak
+    del pts
     # M*M = [[a, b], [conj(b), d]]; the discriminant form of the closed-form
     # eigenvalues (mean +- sqrt(mean^2 - det)) avoids cancellation when the
     # matrix is close to a multiple of the identity.

@@ -265,6 +265,27 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+def test_main_builds_one_parser_and_answers_as_a_fresh_one(capsys):
+    # certify with options set, a usage error, sweep, then certify with the
+    # defaults, which must not carry over from the first call
+    argvs = [["certify", *BA_07, "--order", "2", "--s-max", "1"],
+             ["certify", *BA_07, "--order", "x"],
+             ["sweep", "--family", "burt-adelson", "--a-min", "0.6", "--a-max", "0.7",
+              "--steps", "2", "--grid", "256"],
+             ["certify", *BA_07]]
+    fbstab.cli.build_parser.cache_clear()
+    shared = [(main(argv), *capsys.readouterr()) for argv in argvs]
+    assert fbstab.cli.build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        fbstab.cli.build_parser.cache_clear()
+        fresh.append((main(argv), *capsys.readouterr()))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+    report = json.loads(shared[3][1])
+    assert (len(report["bessel"]), len(report["gramian"])) == (3, 4)
+
+
 def test_sweep_endpoints_and_header(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["sweep", "--family", "burt-adelson", "--a-min", "0.6",

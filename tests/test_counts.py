@@ -1,7 +1,7 @@
-"""Every integer count the package takes passes one gate (`seqcore._count`,
-and its rule in `FactoredLowpass`): a bool, a float of integer value and a
-value out of range are refused before any work, and a numpy integer is
-taken as the int it holds."""
+"""Every integer count the package takes passes one gate (`seqcore._count`;
+`FactoredLowpass` raises its refusal as FilterError): a bool, a float of
+integer value and a value out of range are refused before any work, and a
+numpy integer is taken as the int it holds."""
 
 import math
 
@@ -53,7 +53,7 @@ CASES = {
         (0.9, 10 ** 30), lambda x: (x.offset, type(x.offset), x.coeffs.tolist())),
     "FactoredLowpass.n": (
         lambda n: FactoredLowpass(n, F.p), [(fbstab.filters, "dtft_at")], 2,
-        (0, 2.5), lambda f: (f.n, f.p.coeffs.tolist())),
+        (0, 2.5), lambda f: (f.n, type(f.n), f.p.coeffs.tolist())),
     "gramian_bounds.j": (
         lambda j: gramian_bounds(PAIR, j, GRID), [(fbstab.stability, "gramian_fibers")],
         2, (0, GRAMIAN_J_CAP + 1), lambda r: _report_and_type(r, "order")),
@@ -126,6 +126,9 @@ def test_fractional_cosine_order_cannot_pass_bessel():
 def test_refused_counts_name_themselves():
     with pytest.raises(ValueError, match=r"^sequence offset must be an integer, got 0\.9$"):
         FiniteSeq(0.9, [1.0])
+    with pytest.raises(FilterError, match=r"^cosine-factor order must be an integer "
+                                          r">= 1, got 2\.5$"):
+        FactoredLowpass(2.5, F.p)
     with pytest.raises(ValueError, match=r"^iteration order must be in 1\.\.20 and an "
                                          r"integer, got True$"):
         analyze(PAIR, X, True)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fbstab.filters import (
     SQRT2,
@@ -112,6 +114,23 @@ def test_assemble_factor_roundtrip_random():
         assert g.n == n
         assert shift_invariant_close(g.p, f.p, tol=1e-9)
         assert shift_invariant_close(assemble(g), h, tol=1e-9)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4), st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=5),
+       st.data())
+def test_factor_inverts_assemble(n, taps, data):
+    # a centred p (the support factor returns) with p^(0) = 1: one tap takes
+    # what the others leave of the sum
+    i = data.draw(st.integers(0, len(taps) - 1))
+    taps[i] = 1.0 - (sum(taps) - taps[i])
+    assume(min(abs(taps[0]), abs(taps[-1])) >= 1e-6)
+    p = seq(-((len(taps) - 1) // 2), taps)
+    assume(abs(dtft_at(p, 0.5)) >= 0.1)
+    f = FactoredLowpass(n, p)
+    g = factor(assemble(f))
+    assert g.n == f.n and g.p.support == f.p.support
+    assert np.max(np.abs(g.p.coeffs - f.p.coeffs)) <= 1e-12
 
 
 def test_factor_rejects_non_lowpass():

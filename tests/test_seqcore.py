@@ -1,10 +1,13 @@
 """Tests for the sequence carrier type and the multirate operators."""
 
+import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbstab.seqcore import (
     DTFT_BLOCK,
@@ -206,6 +209,22 @@ def test_json_roundtrip():
     assert obj["coeffs"][1] == [0.25, -1.0]
     y = FiniteSeq.from_json_obj(obj)
     assert seq_close(x, y, tol=0 + 1e-15)
+
+
+# to_json_obj writes a tap with |imag| <= TRIM_TOL as real, so an imaginary
+# part is drawn as 0 or above 1e-10
+_PART = st.floats(-1e300, 1e300)
+_IMAG = st.one_of(st.just(0.0), st.floats(1e-10, 1e300), st.floats(-1e300, -1e-10))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(-INDEX_CAP, INDEX_CAP - 5),
+       st.lists(st.builds(complex, _PART, _IMAG), max_size=6))
+def test_json_roundtrip_is_exact(offset, taps):
+    x = FiniteSeq(offset, np.array(taps, dtype=complex))
+    y = FiniteSeq.from_json_obj(json.loads(json.dumps(x.to_json_obj())))
+    assert y.offset == x.offset
+    assert np.array_equal(y.coeffs, x.coeffs)
 
 
 def test_json_rejects_bad_taps_by_index():

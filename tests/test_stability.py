@@ -587,11 +587,44 @@ def test_gramian_floor_bounds_each_fiber_from_below(case, j):
         assert float(np.min(np.abs(sv - 1.0))) <= 1e-12
 
 
+def _golden_seq(name):
+    with open(Path(__file__).resolve().parent / "golden" / name) as fh:
+        return FiniteSeq.from_json_obj(json.load(fh))
+
+
 def _golden_complex_pair():
     """ba-0.7 with the complex high-pass of the golden certify case."""
-    path = Path(__file__).resolve().parent / "golden" / "highpass-ba-0.7-complex.json"
-    with open(path) as fh:
-        return FilterPair(burt_adelson(0.7), FiniteSeq.from_json_obj(json.load(fh)))
+    return FilterPair(burt_adelson(0.7), _golden_seq("highpass-ba-0.7-complex.json"))
+
+
+_DB4 = _golden_seq("daubechies-4.json")
+# the golden complex high-pass, a pair that is neither expanding nor
+# contracting, one that is not linear phase, and a singular Laplacian
+_UPPER_PAIRS = (
+    _golden_complex_pair(), ho_pair(0.4), FilterPair(_DB4, orthogonal_highpass(_DB4)),
+    FilterPair(burt_adelson(0.7), seq(-1, [-0.5, 1.0, -0.5])),
+)
+
+
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(_linear_phase_pairs(), st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                       min_size=1, max_size=2))
+def test_gramian_fibers_obey_the_upper_recursion_inequality(case, xi):
+    # X_k = B_k diag(I_K, X_(k-1)), where B_k maps columns q and K + q to
+    # rows q and q + K by M(u_q), u_q = (xi + q)/2^k, q < K = 2^(k-1); so
+    # sigma_max(X_k)^2 <= max_q lambda_max(M*M)(u_q) max(1, sigma_max(X_(k-1))^2).
+    # Equality is attained, so the slack is relative
+    xi = np.array(xi)
+    for pair in (case[0], *_UPPER_PAIRS):
+        prev = np.ones(xi.size)
+        for k, X in enumerate(recursion_fibers(pair, 8, xi), start=1):
+            u = (xi[:, None] + np.arange(1 << (k - 1))) / 2.0 ** k
+            M = np.stack([np.stack([dtft_at(pair.g, v), dtft_at(pair.h, v)], axis=-1)
+                          for v in (u, u + 0.5)], axis=-2) / math.sqrt(2.0)
+            lam = np.max(np.linalg.svd(M, compute_uv=False)[..., 0] ** 2, axis=1)
+            top = np.linalg.svd(X, compute_uv=False)[:, 0] ** 2
+            assert np.all(top <= (1.0 + 1e-12) * lam * np.maximum(1.0, prev))
+            prev = top
 
 
 def test_gramian_floor_is_zero_unless_the_split_build_is_real():
