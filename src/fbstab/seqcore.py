@@ -26,13 +26,21 @@ GRID_CAP = 1 << 22
 # 2^24 by 1.4e-9, beyond the low-pass tolerance of 1e-9.  (The expand
 # check, at 1e-12, feels the loss from about 2^10 on.)
 INDEX_CAP = 1 << 20
-# Phase entries per block of `dtft_at` (32 KB of complex128), for two
-# reasons.  For a filter of up to 1024 taps each block's matrix-vector
-# product has fewer than 4096 entries, the size from which OpenBLAS runs a
-# gemv on its thread pool, so a DTFT never wakes BLAS threads beside the
-# Gramian's workers.  And the memory a DTFT needs stays at its output,
-# however many points and taps there are.
+# Phase entries per matrix-vector product of `dtft_at` (32 KB of
+# complex128).  For a filter of up to 1024 taps each product has fewer than
+# 4096 entries, the size from which OpenBLAS runs a gemv on its thread pool,
+# so a DTFT never wakes BLAS threads beside the Gramian's workers: 8192-entry
+# products made the 2-worker order-6 Gramian of ba-0.7 on the default grid
+# take 318-444 ms against 192-208 ms (medians of 9).
 DTFT_BLOCK = 2048
+# Phase entries formed per `exp` call, several products' worth: each call
+# has a fixed cost beside its per-entry work, and the mirrored phases are
+# copied row by row.  Per DTFT of a family filter over 65 552 Gramian
+# points (1 BLAS thread), against an `exp` of every entry per product,
+# mirrored blocks of 2^14 took 17-34% less time, and of 2^11 from 3% more
+# to 14% less; the block (256 KB) is small beside any output large enough
+# to need several.
+_PHASE_BLOCK = 1 << 14
 
 
 def _trim(offset: int, c: np.ndarray) -> tuple[int, np.ndarray]:
@@ -190,28 +198,69 @@ class Grid:
         return np.where(xi < 0.5, xi, xi - 1.0)
 
 
+def _slices(size: int, rows: int):
+    """(start, stop) pairs that cover 0..size in steps of `rows`.  numpy runs
+    a one-row product as a dot, whose bits differ from a gemv's, so a lone
+    last row joins the slice before it."""
+    start = 0
+    while start < size:
+        stop = start + rows if size - start > rows + 1 else size
+        yield start, stop
+        start = stop
+
+
+def _phases(xi: np.ndarray, first: int, size: int) -> np.ndarray:
+    """exp(-2 pi i n xi) for the points xi and n = first..first+size-1, as a
+    (points, taps) array with the bits of one `exp` per entry.
+
+    The phase of n = 0 is 1.  When the taps straddle 0, only the longer side
+    of 0 is exponentiated and the shorter is its mirror: n*xi is exactly odd
+    in n, and exp's cosine is even and its sine odd, so the phase of -n is
+    the conjugate of that of n, bit for bit, at every point but xi = 0.
+    There every phase is 1 + 0j, and the conjugate's imaginary part -0.0.
+    """
+    n = np.arange(first, first + size)
+    z = -first  # the column of n = 0
+    if not 0 <= z < size:
+        return np.exp(-2j * np.pi * np.outer(xi, n))
+    phase = np.empty((xi.size, size), dtype=complex)
+    phase[:, z] = 1
+    if z <= size - 1 - z:  # exponentiate n > 0, mirror n < 0
+        side, mirror = slice(z + 1, size), slice(0, z)
+    else:                  # exponentiate n < 0, mirror n > 0
+        side, mirror = slice(0, z), slice(z + 1, size)
+    np.exp(-2j * np.pi * np.outer(xi, n[side]), out=phase[:, side])
+    # column c mirrors column 2z - c
+    np.conjugate(phase[:, 2 * z - mirror.start:2 * z - mirror.stop:-1], out=phase[:, mirror])
+    at_zero = xi == 0
+    if at_zero.any():
+        phase[at_zero] = 1
+    return phase
+
+
 def dtft_at(x: FiniteSeq, xi) -> np.ndarray:
     """Evaluate x^(xi) = sum_n x(n) exp(-2 pi i n xi) by direct summation.
 
     `xi` may be a scalar or an array; the result has the same shape.  The
-    points are taken in blocks of about DTFT_BLOCK // taps; a point's value
-    is the same bits whichever block it falls in.
+    phases are formed about _PHASE_BLOCK entries at a time, with one `exp`
+    per point and distinct nonzero |n| (see `_phases`), and each block is
+    summed by matrix-vector products of about DTFT_BLOCK entries.  A point's
+    value is the same bits whichever blocks it falls in, and the same as
+    from one `exp` per phase and one product over all points.  Beside its
+    output a call holds at most one phase block and its arguments.
     """
     xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     if x.is_zero:
         out = np.zeros(xi_arr.shape, dtype=complex)
     else:
-        flat, n = xi_arr.ravel(), x.indices
+        flat, taps = xi_arr.ravel(), x.coeffs.size
         out = np.empty(flat.size, dtype=complex)
-        rows = max(2, DTFT_BLOCK // n.size)
-        start = 0
-        while start < flat.size:
-            # numpy runs a one-row product as a dot, whose bits differ from
-            # a gemv's, so a lone last point joins the block before it
-            stop = start + rows if flat.size - start > rows + 1 else flat.size
-            phase = np.exp(-2j * np.pi * np.outer(flat[start:stop], n))
-            np.matmul(phase, x.coeffs, out=out[start:stop])
-            start = stop
+        rows = max(2, DTFT_BLOCK // taps)
+        block = rows * max(1, _PHASE_BLOCK // (rows * taps))
+        for start, stop in _slices(flat.size, block):
+            phase = _phases(flat[start:stop], x.offset, taps)
+            for a, b in _slices(stop - start, rows):
+                np.matmul(phase[a:b], x.coeffs, out=out[start + a:start + b])
         out = out.reshape(xi_arr.shape)
     if np.ndim(xi) == 0:
         return out.reshape(())[()]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fbstab.seqcore
 from fbstab.seqcore import (
     DTFT_BLOCK,
     GRID_CAP,
@@ -114,6 +115,84 @@ def test_dtft_memory_stays_at_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * out.nbytes
+
+
+def test_dtft_memory_of_a_straddling_filter_stays_at_its_output():
+    # taps on both sides of 0: the phases of n < 0 mirror those of n > 0
+    x = seq(-3, RNG.standard_normal(9))
+    xi = Grid(1 << 20).points
+    tracemalloc.start()
+    try:
+        out = dtft_at(x, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * out.nbytes
+
+
+# where a support of `size` taps lies against 0: (least size, first index)
+_SUPPORTS = {
+    "below 0": (1, lambda d, size: -size - d(st.integers(0, 4))),
+    "to 0": (2, lambda d, size: 1 - size),
+    "straddling 0": (5, lambda d, size: -d(st.integers(2, size - 3))),
+    "one tap below 0": (3, lambda d, size: -1),
+    "one tap above 0": (3, lambda d, size: 2 - size),
+    "from 0": (2, lambda d, size: 0),
+    "above 0": (1, lambda d, size: d(st.integers(1, 4))),
+    "far below 0": (1, lambda d, size: size - INDEX_CAP),
+    "far above 0": (1, lambda d, size: INDEX_CAP - size),
+}
+_DTFT_TAP = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))
+# an end tap, which the trim must keep
+_END_TAP = st.one_of(st.floats(-1.0, -0.01), st.floats(0.01, 1.0))
+
+
+@st.composite
+def _dtft_cases(draw, where):
+    """A sequence of up to 12 taps, real or complex (with signed zeros
+    among them), whose support lies as _SUPPORTS[where] says, and points:
+    a scalar, or a 1-D or 2-D array of a count at or beside a multiple of
+    the product and phase blocks, with 0, -0 and 1/2 among random points."""
+    least, first_of = _SUPPORTS[where]
+    size = draw(st.integers(least, 12))
+    first = first_of(draw, size)
+    c = np.zeros(size, dtype=complex)
+    c.real = draw(st.lists(_DTFT_TAP, min_size=size, max_size=size))
+    c.real[[0, -1]] = draw(_END_TAP), draw(_END_TAP)
+    if draw(st.booleans()):
+        c.imag = draw(st.lists(_DTFT_TAP, min_size=size, max_size=size))
+    x = FiniteSeq(first, c)
+    assert x.support == (first, first + size - 1)
+    shape = draw(st.sampled_from(("1-D", "2-D", "scalar")))
+    if shape == "scalar":
+        return x, draw(st.sampled_from([0.0, -0.0, 0.5, 0.3, -0.7]))
+    # for 12 taps or fewer a phase block holds 8 products of `rows` points
+    rows = max(2, DTFT_BLOCK // size)
+    count = max(0, draw(st.sampled_from([8, 1, 16, 0, 2, 9])) * rows
+                + draw(st.integers(-1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xi = rng.uniform(-1.0, 1.0, count)
+    xi[rng.random(count) < 0.1] = 0.0
+    xi[rng.random(count) < 0.05] = -0.0
+    xi[rng.random(count) < 0.05] = 0.5
+    if shape == "2-D":
+        xi = np.concatenate([xi, np.zeros(count % 2)]).reshape(-1, 2)
+    return x, xi
+
+
+@pytest.mark.parametrize("where", sorted(_SUPPORTS))
+@settings(max_examples=8, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_dtft_is_the_dense_bits(where, data):
+    # tobytes, so that signed zeros count
+    x, xi = data.draw(_dtft_cases(where))
+    got, want = dtft_at(x, xi), dtft_dense(x, xi)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # the phases themselves, whatever the BLAS does with a signed zero
+    flat = np.atleast_1d(np.asarray(xi, dtype=float)).ravel()
+    phase = fbstab.seqcore._phases(flat, x.offset, x.coeffs.size)
+    assert phase.tobytes() == np.exp(-2j * np.pi * np.outer(flat, x.indices)).tobytes()
 
 
 def test_convolution_theorem():

@@ -574,6 +574,51 @@ def test_gramian_real_build_of_random_linear_phase_pairs(case, j_max):
     _assert_profile_matches_oracle(pair, j_max, grid)
 
 
+# kind of pair -> (split build, real build)
+_PAIR_PATHS = {"linear phase": (True, True), "orthogonal": (True, False),
+               "arbitrary": (False, False)}
+
+
+@st.composite
+def _pairs_of_kind(draw, kind):
+    """A pair built as the cascade tests' random pairs: a low-pass
+    (1, 1)/sqrt(2) * p with p scaled to sum 1, at an offset in -4..4, and a
+    high-pass of the given kind.  "linear phase": p real and symmetric, of
+    1..6 taps, with its orthogonal high-pass (the real split build).
+    "orthogonal": p real and not symmetric, of 2..5 taps, with its
+    orthogonal high-pass (the complex split build).  "arbitrary": p and q
+    of 1..5 taps, real or complex, and the high-pass (1, -1) * q (no split:
+    the full fibers)."""
+    complex_valued = kind == "arbitrary" and draw(st.booleans())
+
+    def taps(n_min, n_max):
+        n = draw(st.integers(n_min, n_max))
+        c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)),
+                     dtype=complex)
+        if complex_valued:
+            c += 1j * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+        return seq(draw(st.integers(-4, 4)), c)
+
+    p = {"linear phase": taps(1, 3), "orthogonal": taps(2, 5), "arbitrary": taps(1, 5)}[kind]
+    if kind == "linear phase":
+        p = seq(p.offset, np.concatenate([p.coeffs, p.coeffs[::-1][draw(st.integers(0, 1)):]]))
+    assume(abs(np.sum(p.coeffs)) > 0.25)
+    h = convolve(seq(0, [1.0 / math.sqrt(2.0)] * 2), seq(p.offset, p.coeffs / np.sum(p.coeffs)))
+    g = convolve(seq(0, [1.0, -1.0]), taps(1, 5)) if kind == "arbitrary" else orthogonal_highpass(h)
+    pair = FilterPair(h, g)
+    split = fbstab.stability._channel_orthogonal(pair)
+    real = fbstab.stability._real_form(pair) is not None
+    assume((split, real) == _PAIR_PATHS[kind])
+    return pair
+
+
+@pytest.mark.parametrize("kind", sorted(_PAIR_PATHS))
+@settings(max_examples=20, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), j_max=st.integers(1, 3))
+def test_gramian_profile_matches_the_full_grid_oracle_on_random_pairs(kind, data, j_max):
+    _assert_profile_matches_oracle(data.draw(_pairs_of_kind(kind)), j_max, Grid(32))
+
+
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(_linear_phase_pairs(("orthogonal",)), st.integers(1, 7))
 def test_gramian_floor_bounds_each_fiber_from_below(case, j):
