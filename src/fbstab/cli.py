@@ -41,7 +41,7 @@ from .filters import (
     orthogonal_highpass,
 )
 from .iterate import analyze, contraction_certificate
-from .seqcore import FiniteSeq, Grid, _count, delta
+from .seqcore import FiniteSeq, Grid, _count
 from .stability import (
     GRAMIAN_J_CAP,
     TOL_EXPAND,
@@ -113,24 +113,22 @@ def _read_seq(path: str) -> FiniteSeq:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def _family_filter(family: str, a: float) -> tuple[FiniteSeq, FactoredLowpass]:
-    """The member a of a FAMILIES entry (argparse's choices check the name)."""
+def _family_filter(family: str, a: float) -> tuple[FiniteSeq, FactoredLowpass | None]:
+    """The member a of a FAMILIES entry (argparse's choices check the name)
+    and its factored form where the family builds one, else None."""
     if family == "burt-adelson":
-        h = burt_adelson(a)
-        return h, factor(h)
-    # the higher-order a = 0 boundary member (p = delta) is a valid
-    # low-pass filter and is needed by sweeps starting at 0
-    f = FactoredLowpass(3, delta()) if a == 0.0 else higher_order(a)
+        return burt_adelson(a), None
+    f = higher_order(a)
     return assemble(f), f
 
 
-def _load_lowpass(args) -> tuple[FiniteSeq, FactoredLowpass]:
-    """Resolve --family/--a or --filter into (raw filter, factored form)."""
+def _load_lowpass(args) -> tuple[FiniteSeq, FactoredLowpass | None]:
+    """Resolve --family/--a or --filter into (raw filter, factored form or
+    None) as _family_filter does; only certify and sweep call factor."""
     if args.filter_file is not None:
         if args.family is not None or args.a is not None:
             raise ValueError("--filter excludes --family/--a")
-        h = _read_seq(args.filter_file)
-        return h, factor(h)
+        return _read_seq(args.filter_file), None
     if args.family is None:
         raise ValueError("one of --family or --filter is required")
     if args.a is None:
@@ -149,6 +147,7 @@ def cmd_certify(args) -> int:
     _count("--order", args.order, 1, GRAMIAN_J_CAP)
     _count("--s-max", args.s_max, 1)
     h, f = _load_lowpass(args)
+    f = factor(h) if f is None else f
     pair = _load_pair(args, h)
     grid = Grid(args.grid)
     bessel = [bessel_certificate(f, s, grid) for s in range(1, args.s_max + 1)]
@@ -187,6 +186,7 @@ def cmd_sweep(args) -> int:
     lines = [",".join(SWEEP_HEADER)]
     for a in np.linspace(args.a_min, args.a_max, args.steps):
         h, f = _family_filter(args.family, float(a))
+        f = factor(h) if f is None else f
         pair = FilterPair(h, orthogonal_highpass(h))
         b1 = bessel_certificate(f, 1, grid).verdict
         b2 = bessel_certificate(f, 2, grid).verdict

@@ -116,9 +116,10 @@ def burt_adelson(a: float) -> FiniteSeq:
 
 
 def higher_order(a: float) -> FactoredLowpass:
-    """Order-3 cosine factor with p(xi) = (1+2a) - 2a cos(2 pi xi), finite a > 0."""
-    if not 0 < a < math.inf:  # rejects NaN too
-        raise FilterError(f"family parameter must be positive and finite, got {a}")
+    """Order-3 cosine factor with p(xi) = (1+2a) - 2a cos(2 pi xi), finite
+    a >= 0; at a = 0, p is delta()."""
+    if not 0 <= a < math.inf:  # rejects NaN too
+        raise FilterError(f"family parameter must be nonnegative and finite, got {a}")
     p = seq(-1, [-a, 1.0 + 2.0 * a, -a])
     return FactoredLowpass(3, p)
 

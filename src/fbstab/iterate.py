@@ -14,11 +14,11 @@ import numpy as np
 from .filters import FilterError, FilterPair, check_lowpass
 from .seqcore import FiniteSeq, _count, _energy, _trim, involute, norm_sq
 
-J_MAX = 20
-# most cascade levels of energy_profile and lowpass_residual_norms: each
-# level costs microseconds and one list entry, so a nonsense depth such as
-# 10**9 is refused rather than run for an hour; acceptance criterion 8
-# reads 40 levels and bound_transfer_check 16
+# most cascade levels of analyze, energy_profile and lowpass_residual_norms,
+# and most factors of stability.sine_product_values: each level costs
+# microseconds and one list entry, so a nonsense depth such as 10**9 is
+# refused rather than run for an hour; acceptance criterion 8 reads 40
+# levels and bound_transfer_check 16
 DEPTH_CAP = 64
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -104,9 +104,9 @@ def analyze(pair: FilterPair, x: FiniteSeq, j: int) -> AnalysisOutput:
     Computed by the two-channel cascade on bare arrays (_cascade_arrays),
     which agrees with the iterated-filter formulas through the noble
     identity; only the j channels and the last low become FiniteSeqs.
-    j must be an integer in 1..J_MAX.
+    j must be an integer in 1..DEPTH_CAP.
     """
-    j = _count("iteration order", j, 1, J_MAX)
+    j = _count("iteration order", j, 1, DEPTH_CAP)
     levels = list(islice(_cascade_arrays(_analysis_filters(pair), x), j))
     return AnalysisOutput(j, [FiniteSeq(*c) for c, _ in levels],
                           FiniteSeq(*levels[-1][1]))
@@ -180,7 +180,7 @@ def contraction_certificate(h: FiniteSeq) -> ContractionCertificate:
     The spectral radius is reported whether or not the hypothesis holds.
     """
     coeffs = h.coeffs
-    nonneg = bool(np.all(coeffs.real >= -1e-12) and np.all(np.abs(coeffs.imag) <= 1e-12))
+    nonneg = h.is_real and bool(np.all(coeffs.real >= -1e-12))
     idx = h.indices
     even_sum = float(np.sum(coeffs[idx % 2 == 0]).real)
     odd_sum = float(np.sum(coeffs[idx % 2 == 1]).real)

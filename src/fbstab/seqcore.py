@@ -123,16 +123,15 @@ class FiniteSeq:
 
     @property
     def is_real(self) -> bool:
-        return self.is_zero or float(np.max(np.abs(self.coeffs.imag))) <= TRIM_TOL
+        """Whether every imaginary part is exactly 0, the package's one
+        realness rule: no tolerance."""
+        return not np.any(self.coeffs.imag)
 
     def to_json_obj(self) -> dict:
-        """JSON form: real coefficients as numbers, complex as [re, im]."""
-        coeffs = []
-        for c in self.coeffs:
-            if abs(c.imag) <= TRIM_TOL:
-                coeffs.append(float(c.real))
-            else:
-                coeffs.append([float(c.real), float(c.imag)])
+        """JSON form: taps of imaginary part exactly 0 (-0.0 too) as numbers,
+        others as [re, im], so from_json_obj reads back the same bits."""
+        coeffs = [float(c.real) if c.imag == 0 else [float(c.real), float(c.imag)]
+                  for c in self.coeffs]
         return {"offset": int(self.offset), "coeffs": coeffs}
 
     @classmethod

@@ -24,7 +24,7 @@ from itertools import islice
 import numpy as np
 
 from .filters import SQRT2, FactoredLowpass, FilterPair
-from .iterate import J_MAX, _analysis_filters, _cascade_energies, lowpass_residual_norms
+from .iterate import DEPTH_CAP, _analysis_filters, _cascade_energies, lowpass_residual_norms
 from .seqcore import (
     FiniteSeq,
     Grid,
@@ -290,7 +290,7 @@ def _linear_phase(x: FiniteSeq) -> tuple[int, bool] | None:
     (tested exactly) about c/2 with c = lo + hi; else None.  Then
     x^(u) = beta e^(-i pi c u) R(u) with R real, and beta = 1 or -i."""
     c = x.coeffs
-    if x.is_zero or np.any(c.imag):
+    if x.is_zero or not x.is_real:
         return None
     lo, hi = x.support
     if np.array_equal(c, c[::-1]):
@@ -714,8 +714,8 @@ def bound_transfer_check(pair: FilterPair, j_max: int, grid: Grid,
 def sine_product_values(j: int, grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Profile data (xi, product modulus, bound) of the telescoping bound
     |prod_{k<j} (1 + e^(2 pi i 2^k xi))/2| <= min(1, 1/(2^(j+1)|xi|)) over
-    the centered grid.  j must be an integer in 1..iterate.J_MAX."""
-    j = _count("sine product length", j, 1, J_MAX)
+    the centered grid.  j must be an integer in 1..iterate.DEPTH_CAP."""
+    j = _count("sine product length", j, 1, DEPTH_CAP)
     xi = grid.centered_points
     prod = np.ones_like(xi, dtype=complex)
     for k in range(j):

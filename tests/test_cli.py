@@ -68,12 +68,14 @@ def test_certify_haar_from_file(tmp_path, capsys):
 
 def test_certify_input_errors(tmp_path, capsys):
     assert main(["certify", "--family", "burt-adelson", "--a", "-1"]) == 1
-    for family in ("burt-adelson", "higher-order"):
-        for a in ("nan", "inf"):
+    # each family states its own range: burt-adelson a > 0, higher-order a >= 0
+    for family, rule, low in (("burt-adelson", "positive", "0.0"),
+                              ("higher-order", "nonnegative", "-1.0")):
+        for a in ("nan", "inf", low):
             capsys.readouterr()
             assert main(["certify", "--family", family, "--a", a]) == 1
             assert capsys.readouterr().err == (
-                f"error: family parameter must be positive and finite, got {a}\n")
+                f"error: family parameter must be {rule} and finite, got {a}\n")
     assert main(["certify"]) == 1
     assert main(["certify", "--family", "burt-adelson"]) == 1
     assert main(["certify", "--filter", str(tmp_path / "missing.json")]) == 1
@@ -446,6 +448,23 @@ def test_profile_eigenfunctions_dips_below_one(tmp_path, capsys):
     assert min(lam_min) < 1.0
 
 
+@pytest.mark.parametrize("source", [
+    ("--filter", str(GOLDEN / "daubechies-4-9digits.json")),
+    ("--family", "burt-adelson", "--a", "0.37500001")], ids=["db4-9digits", "ba-0.37500001"])
+def test_only_certify_needs_the_cosine_factor_order(source, tmp_path, capsys):
+    # valid low-pass filters whose cosine-factor order is ambiguous: apply
+    # and profile read no factorization, so they run; certify reads it
+    assert main(["apply", *source, "--signal", str(GOLDEN / "signal.json"),
+                 "--out", str(tmp_path / "apply.json")]) == 0
+    assert main(["profile", "--which", "eigenfunctions", *source, "--grid", "16",
+                 "--out", str(tmp_path / "profile.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["certify", *source, "--grid", "64", "--order", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cosine-factor multiplicity ambiguous")
+
+
 def test_profile_sine_product(capsys):
     code, out = run(capsys, "profile", "--which", "sine-product",
                     "--order", "4", "--grid", "512")
@@ -459,7 +478,7 @@ def test_profile_sine_product(capsys):
 
 def test_profile_sine_product_rejects_bad_order(capsys):
     # 2000 used to escape as an OverflowError from 2.0 ** (j + 1)
-    for order in ("-2", "0", "21", "2000"):
+    for order in ("-2", "0", "65", "2000"):
         assert main(["profile", "--which", "sine-product",
                      "--order", order, "--grid", "8"]) == 1
         captured = capsys.readouterr()

@@ -74,7 +74,7 @@ CASES = {
         3, (-1,), lambda r: r),
     "analyze.j": (
         lambda j: analyze(PAIR, X, j), [(fbstab.iterate, "_cascade_arrays")], 2,
-        (0, fbstab.iterate.J_MAX + 1), lambda out: (type(out.order), out.to_json_obj())),
+        (0, fbstab.iterate.DEPTH_CAP + 1), lambda out: (type(out.order), out.to_json_obj())),
     "energy_profile.j_max": (
         lambda j: energy_profile(PAIR, X, j), [(fbstab.iterate, "_cascade_energies")],
         2, (0, -3, fbstab.iterate.DEPTH_CAP + 1), lambda e: e),
@@ -90,7 +90,7 @@ CASES = {
         2, (0, -1), lambda c: _report_and_type(c, "s")),
     "sine_product_values.j": (
         lambda j: sine_product_values(j, GRID), [(Grid, "centered_points")], 2,
-        (0, fbstab.iterate.J_MAX + 1), lambda r: [a.tolist() for a in r]),
+        (0, fbstab.iterate.DEPTH_CAP + 1), lambda r: [a.tolist() for a in r]),
 }
 
 
@@ -129,7 +129,7 @@ def test_refused_counts_name_themselves():
     with pytest.raises(FilterError, match=r"^cosine-factor order must be an integer "
                                           r">= 1, got 2\.5$"):
         FactoredLowpass(2.5, F.p)
-    with pytest.raises(ValueError, match=r"^iteration order must be in 1\.\.20 and an "
+    with pytest.raises(ValueError, match=r"^iteration order must be in 1\.\.64 and an "
                                          r"integer, got True$"):
         analyze(PAIR, X, True)
     with pytest.raises(ValueError, match=r"^iteration order must be in 1\.\.64 and an "
@@ -137,5 +137,5 @@ def test_refused_counts_name_themselves():
         energy_profile(PAIR, X, 2.0)
     with pytest.raises(ValueError, match=r"^product length s must be an integer"):
         bessel_certificate(F, True, GRID)
-    with pytest.raises(ValueError, match=r"^sine product length must be in 1\.\.20"):
+    with pytest.raises(ValueError, match=r"^sine product length must be in 1\.\.64"):
         sine_product_values(True, GRID)

@@ -55,12 +55,20 @@ def test_family_parameter_validation():
         burt_adelson(0.0)
     with pytest.raises(FilterError):
         burt_adelson(-0.3)
-    with pytest.raises(FilterError):
-        higher_order(0.0)
-    for family in (burt_adelson, higher_order):
+    with pytest.raises(FilterError, match="nonnegative and finite"):
+        higher_order(-0.3)
+    for family, rule in ((burt_adelson, "positive"), (higher_order, "nonnegative")):
         for a in (math.nan, math.inf):
-            with pytest.raises(FilterError, match="positive and finite"):
+            with pytest.raises(FilterError, match=f"{rule} and finite"):
                 family(a)
+
+
+def test_higher_order_at_zero_is_the_delta_member():
+    # p = (-0.0, 1, -0.0) trims to delta(), bit for bit, at a = 0 and -0.0
+    for a in (0.0, -0.0):
+        f = higher_order(a)
+        assert (f.n, f.p.offset) == (3, 0)
+        assert f.p.coeffs.tobytes() == FactoredLowpass(3, delta()).p.coeffs.tobytes()
 
 
 def test_higher_order_polynomial():

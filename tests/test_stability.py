@@ -462,14 +462,34 @@ def test_gramian_real_pair_half_grid_matches_full_grid(pair, size):
         _assert_matches_full_grid(pair, j, grid)
 
 
+def _tiny_imaginary_tap(pair):
+    """The pair with 1e-15j added to the middle tap of its high-pass."""
+    c = pair.g.coeffs.copy()
+    c[c.size // 2] += 1e-15j
+    return FilterPair(pair.h, FiniteSeq(pair.g.offset, c))
+
+
 @pytest.mark.parametrize("size", [63, 64])
-def test_gramian_complex_pair_keeps_full_grid(size):
-    pair = _with_highpass(ba_pair(0.7), [1.0, 0.3j])
-    assert not pair.g.is_real
+def test_gramian_complex_pair_keeps_full_grid(size, monkeypatch):
+    build = fbstab.stability.gramian_fibers
+    built = []
+
+    def recording_build(pair, j, xi):
+        built.append(len(xi))
+        return build(pair, j, xi)
+
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", recording_build)
     grid = Grid(size)
-    for j in range(1, 7):
-        assert _mirror_gap(pair, j, grid) > 1e-3
-        _assert_matches_full_grid(pair, j, grid)
+    # (pair, least mirror gap): a tap of imaginary part 1e-15 leaves a mirror
+    # gap of round-off, but the pair is complex all the same
+    for pair, gap in ((_with_highpass(ba_pair(0.7), [1.0, 0.3j]), 1e-3),
+                      (_tiny_imaginary_tap(ba_pair(0.7)), 0.0)):
+        assert not pair.g.is_real
+        for j in range(1, 7):
+            assert _mirror_gap(pair, j, grid) >= gap
+            built.clear()
+            _assert_matches_full_grid(pair, j, grid)
+            assert sum(built) == size
 
 
 @st.composite
@@ -670,6 +690,21 @@ def test_gramian_fibers_obey_the_upper_recursion_inequality(case, xi):
             top = np.linalg.svd(X, compute_uv=False)[:, 0] ** 2
             assert np.all(top <= (1.0 + 1e-12) * lam * np.maximum(1.0, prev))
             prev = top
+
+
+@pytest.mark.parametrize("pair, expanding", [(ba_pair(0.7), True), (ho_pair(1.0), True),
+                                             (ba_pair(0.55), False), (ho_pair(0.3), False)],
+                         ids=["ba-0.7", "ho-1.0", "ba-0.55", "ho-0.3"])
+def test_gramian_one_sided_members_pin_one_bound_and_move_the_other_one_way(pair, expanding):
+    # the split recursion compares X_k(xi) with X_(k-1)(xi) at the same xi,
+    # and every column-norm factor c there is >= 1 for an expanding bank
+    # (lambda_min(M*M) >= 1) and <= 1 for one with lambda_max <= 1; so
+    # A_j = 1 and B_j is nondecreasing, or B_j = 1 and A_j nonincreasing
+    reports = gramian_profile(pair, fbstab.stability.GRAMIAN_J_CAP, Grid(16))
+    pinned = np.array([r.lower if expanding else r.upper for r in reports])
+    steps = np.diff([r.upper if expanding else r.lower for r in reports])
+    assert np.max(np.abs(pinned - 1.0)) <= 1e-12
+    assert np.all(steps >= 0.0) if expanding else np.all(steps <= 0.0)
 
 
 def test_gramian_floor_is_zero_unless_the_split_build_is_real():
