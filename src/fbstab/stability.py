@@ -11,13 +11,15 @@ The Bessel product, the span determinant and the std-expand profile read
 their transforms from FFTs (seqcore.dtft_grid): the product on the grid of
 N points, span and std-expand from one FFT per filter on the doubled grid
 of 2N points.  The expand eigenvalues and the Gramian fibers sum each
-transform directly (seqcore.dtft_at).
+transform directly (seqcore.dtft_at); the Gramian of a family affine in its
+parameter sums only its end members' (gramian_bounds).
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 
@@ -57,6 +59,11 @@ SVD_PART_WORK = 1 << 22
 # points took 80 ms against 69; at order 3 on 1024 points a build is one
 # slice.  Both: 2-core host, one BLAS thread, medians of 15 alternated runs.
 GRAM_SLICE = 1 << 14
+# ulps of the largest tap by which a family member's taps may miss the
+# interpolation of the end members' (_family_weights).  Sweeps of 2 to 100
+# members of either family, over ranges from a = 0 (or 0.5) to 10^6, miss
+# it by at most 0.95 ulp.
+_AFFINE_ULPS = 8
 # safety margin of the certificates that let _piece_extremes leave a slice
 # of Gram matrices unsolved; see there for what it covers
 _MARGIN = 1e-9
@@ -363,6 +370,23 @@ def gramian_fibers(pair: FilterPair, j: int,
     is solved by SVD, which reads no floor, so its floor is 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    return _fiber_pieces(pair, j, xi, (_order_transforms(pair, k, xi)
+                                       for k in range(1, j + 1)))
+
+
+def _order_transforms(pair: FilterPair, k: int,
+                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g_k, h_k): the transforms of g and h at u_q = 2^-k (xi + q), q < 2^k,
+    scaled by 1/sqrt(2), one dtft_at call each."""
+    u = (xi[:, None] + np.arange(1 << k)[None, :]) * (2.0 ** (-k))
+    return dtft_at(pair.g, u) / SQRT2, dtft_at(pair.h, u) / SQRT2
+
+
+def _fiber_pieces(pair: FilterPair, j: int, xi: np.ndarray,
+                  transforms) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """gramian_fibers(pair, j, xi), with the scaled transforms (g_k, h_k) of
+    orders k = 1..j (see _order_transforms) taken from the iterable
+    `transforms`, one order at a time."""
     split = _channel_orthogonal(pair)
     real = _real_form(pair)
     dtype = float if real else complex
@@ -371,11 +395,8 @@ def gramian_fibers(pair: FilterPair, j: int,
     floor = np.zeros(xi.shape[0])
     s = np.ones(xi.shape[0])
     pieces = []
-    for k in range(1, j + 1):
+    for k, (g_k, h_k) in zip(range(1, j + 1), transforms):
         K = 1 << (k - 1)
-        u = (xi[:, None] + np.arange(2 * K)[None, :]) * (2.0 ** (-k))
-        g_k = dtft_at(pair.g, u) / SQRT2
-        h_k = dtft_at(pair.h, u) / SQRT2
         if real:
             g_form, h_form, sign = real
             g_k = _dephased(g_k, g_form, xi, k)
@@ -528,72 +549,152 @@ def _piece_extremes(a: np.ndarray, M: np.ndarray, f: np.ndarray,
     return max(0.0, lo), hi
 
 
-def _walk_extremes(pair: FilterPair, orders: range, pts: np.ndarray, count: int,
-                   step: int) -> list[tuple[float, float]]:
-    """_piece_extremes of every order over the first `count` fibers at
-    pts: the points are built `step` at a time, each build up to the
-    highest order, and each build is released before the next is made.
-    Each order's running extremes carry from one build to the next.  A
-    build's last points beyond `count` are built but not solved."""
-    runs = [(math.inf, 0.0)] * len(orders)
+def _family_weights(pairs: list[FilterPair]) -> np.ndarray:
+    """Weights (w0, w1), one row per pair, with each pair's taps equal to
+    w0 times the first pair's plus w1 times the last pair's, to rounding.
+
+    The g and h taps of every pair, aligned on common index ranges, are
+    one vector x; w1 is the projection of x - x_first onto x_last - x_first,
+    scaled by that of the last pair, and w0 = 1 - w1.  So the ends get
+    exactly (1, 0) and (0, 1).  A pair whose taps are further than
+    _AFFINE_ULPS ulps of the largest tap from that interpolation is a
+    ValueError: the family is not affine in its parameter.
+    """
+    taps = []
+    for seqs in ([p.g for p in pairs], [p.h for p in pairs]):
+        lo = min((x.offset for x in seqs if not x.is_zero), default=0)
+        hi = max((x.offset + x.coeffs.size for x in seqs if not x.is_zero), default=0)
+        aligned = np.zeros((len(pairs), hi - lo), dtype=complex)
+        for row, x in zip(aligned, seqs):
+            row[x.offset - lo:x.offset - lo + x.coeffs.size] = x.coeffs
+        taps.append(aligned)
+    x = np.hstack(taps)
+    moved = x - x[0]
+    proj = (moved @ np.conj(moved[-1])).real
+    w1 = proj / proj[-1] if proj[-1] else np.zeros(len(pairs))
+    w = np.stack([1.0 - w1, w1], axis=1)
+    off = np.max(np.abs(x - w @ x[[0, -1]]), axis=1, initial=0.0)
+    tol = _AFFINE_ULPS * np.finfo(float).eps * float(np.max(np.abs(x), initial=0.0))
+    if np.any(off > tol):
+        m = int(np.argmax(off))
+        raise ValueError(f"pair {m} is not on the line through the first and last "
+                         f"pairs: its taps are {off[m]:.3g} from it, beyond {tol:.3g}")
+    return w
+
+
+def _builds(pairs: list[FilterPair], weights: np.ndarray | None, j: int, xi: np.ndarray):
+    """Each pair's order-j solve pieces at xi (see gramian_fibers), one pair
+    at a time.  A lone pair is built by gramian_fibers.  A family takes the
+    transforms of its first and last pairs for every order once, and each
+    pair's as w0 times the first's plus w1 times the last's (weights from
+    _family_weights): a transform is linear in the taps."""
+    if len(pairs) == 1:
+        yield gramian_fibers(pairs[0], j, xi)
+        return
+    ends = [(_order_transforms(pairs[0], k, xi), _order_transforms(pairs[-1], k, xi))
+            for k in range(1, j + 1)]
+    for pair, (w0, w1) in zip(pairs, weights):
+        yield _fiber_pieces(pair, j, xi, ((w0 * g0 + w1 * g1, w0 * h0 + w1 * h1)
+                                          for (g0, h0), (g1, h1) in ends))
+
+
+def _walk_extremes(pairs: list[FilterPair], weights: np.ndarray | None, orders: range,
+                   pts: np.ndarray, count: int, step: int) -> list[list[tuple[float, float]]]:
+    """_piece_extremes of every pair and order over the first `count`
+    fibers at pts: the points are built `step` at a time, each build up to
+    the highest order, and one pair's build is released before the next is
+    made (see _builds).  Each running extreme carries from one build to the
+    next.  A build's last points beyond `count` are built but not solved."""
+    runs = [[(math.inf, 0.0)] * len(orders) for _ in pairs]
     for start in range(0, count, step):
-        pieces = gramian_fibers(pair, orders[-1], pts[start:start + step])
-        runs = [_piece_extremes(*(v[:count - start] for v in pieces[j - 1]), run)
-                for j, run in zip(orders, runs)]
-        del pieces
+        # no enumerate or zip over the builds: either holds the previous
+        # build while the next is made
+        builds = _builds(pairs, weights, orders[-1], pts[start:start + step])
+        for m in range(len(pairs)):
+            pieces = next(builds)
+            runs[m] = [_piece_extremes(*(v[:count - start] for v in pieces[j - 1]), run)
+                       for j, run in zip(orders, runs[m])]
+            del pieces
     return runs
 
 
-def _gramian_reports(pair: FilterPair, orders: range, grid: Grid) -> list[GramianReport]:
-    """One GramianReport per order, from one pass over the grid.
+def _gramian_reports(pairs: list[FilterPair], orders: range,
+                     grid: Grid) -> list[list[GramianReport]]:
+    """One GramianReport per pair and order, from one pass over the grid.
 
     Each order is solved from its pieces (see gramian_fibers, which also
     derives the half-size solve of a channel-orthogonal pair).  When g and
     h have real taps, g^(-u) = conj g^(u), so the fiber at (N - m)/N is the
     complex conjugate of the fiber at m/N up to row and column permutations
     and has the same singular values; only the points m = 0..N//2 are then
-    solved.  A pair with complex taps keeps all N.
+    solved.  A pair with complex taps keeps all N, and so does every pair
+    of a family with one.
 
-    The grid is walked once (_walk_extremes), and every requested order is
-    solved from each build.  The worker count is picked once per call: one
-    per usable CPU (SVD_WORKERS, from the process's CPU affinity; there is
-    no knob), but only as many as get SVD_PART_WORK (fibers x 8^J) each
-    from one chunk (or the whole grid, if smaller), and no more than there
-    are solved points.  With one worker the calling thread walks the grid
-    in whole chunks.  With more, each worker of a thread pool walks one
-    contiguous range of the solved points, in builds of its share of a
-    chunk, since numpy and LAPACK release the GIL for most of that work.
-    Each fiber's build and solve do not depend on the batch it sits in, and
-    a fiber left unsolved cannot move an extreme (_piece_extremes), so the
-    bounds are bit-identical for every worker count and chunk size.
+    The grid is walked once (_walk_extremes), and every requested order of
+    every pair is solved from each build.  The worker count is picked once
+    per call: one per usable CPU (SVD_WORKERS, from the process's CPU
+    affinity; there is no knob), but only as many as get SVD_PART_WORK
+    (fibers x 8^J) each from one chunk (or the whole grid, if smaller), and
+    no more than there are solved points.  With one worker the calling
+    thread walks the grid in whole chunks.  With more, each worker of a
+    thread pool walks one contiguous range of the solved points, in builds
+    of its share of a chunk, since numpy and LAPACK release the GIL for
+    most of that work.  A family of several pairs builds half as many
+    points at a time: beside each build a walk holds the end pairs'
+    transforms of every order (_builds), 4 (2^(J+1) - 2) complex values a
+    point, about as much as one order-4 build.  Each fiber's build and
+    solve do not depend on the batch it sits in, and a fiber left unsolved
+    cannot move an extreme (_piece_extremes), so the bounds are
+    bit-identical for every worker count and chunk size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     chunk = (1 << 22) >> (2 * orders[-1])
-    stop = grid.size // 2 + 1 if pair.h.is_real and pair.g.is_real else grid.size
+    real = all(p.h.is_real and p.g.is_real for p in pairs)
+    stop = grid.size // 2 + 1 if real else grid.size
     pts = grid.points
+    weights = _family_weights(pairs) if len(pairs) > 1 else None
     workers = min(SVD_WORKERS, stop,
                   min(chunk, grid.size) * 8 ** orders[-1] // SVD_PART_WORK)
+
+    def walk(part, count, step):
+        if len(pairs) > 1:
+            step = -(-min(step, count) // 2)
+        return _walk_extremes(pairs, weights, orders, part, count, step)
+
     if workers <= 1:
-        walks = [_walk_extremes(pair, orders, pts, stop, chunk)]
+        walks = [walk(pts, stop, chunk)]
     else:
         step = -(-chunk // workers)
         with ThreadPoolExecutor(workers) as pool:
-            walks = list(pool.map(
-                lambda part: _walk_extremes(pair, orders, part, len(part), step),
-                np.array_split(pts[:stop], workers)))
-    return [GramianReport(order=j, lower=min(lo for lo, _ in ext),
-                          upper=max(hi for _, hi in ext), grid=grid.size)
-            for j, ext in zip(orders, zip(*walks))]
+            walks = list(pool.map(lambda part: walk(part, len(part), step),
+                                  np.array_split(pts[:stop], workers)))
+    return [[GramianReport(order=j, lower=min(lo for lo, _ in ext),
+                           upper=max(hi for _, hi in ext), grid=grid.size)
+             for j, ext in zip(orders, zip(*runs))]
+            for runs in zip(*walks)]
 
 
-def gramian_bounds(pair: FilterPair, j: int, grid: Grid) -> GramianReport:
+def gramian_bounds(pair: FilterPair | Sequence[FilterPair], j: int,
+                   grid: Grid) -> GramianReport | list[GramianReport]:
     """A_j = min over the grid of sigma_min(X_j)^2 and B_j = max
     sigma_max(X_j)^2, solving order j alone (see _gramian_reports); j is
-    an integer in 1..GRAMIAN_J_CAP."""
+    an integer in 1..GRAMIAN_J_CAP.
+
+    Given a sequence of pairs, such as a sweep's members, that lie on one
+    line in their taps (each w0 times the first plus w1 times the last, as
+    the members of a family affine in its parameter do), it returns one
+    report per pair from one walk over the grid.  Each build evaluates the
+    first and last pairs' transforms only, and every pair's are their
+    weighted sum (_builds).  The end pairs' reports are those of
+    gramian_bounds on each, bit for bit; the others' differ by rounding.
+    Pairs off that line are a ValueError (_family_weights).
+    """
     j = _count("gramian order", j, 1, GRAMIAN_J_CAP)
-    (report,) = _gramian_reports(pair, range(j, j + 1), grid)
-    return report
+    if isinstance(pair, FilterPair):
+        ((report,),) = _gramian_reports([pair], range(j, j + 1), grid)
+        return report
+    return [report for (report,) in _gramian_reports(list(pair), range(j, j + 1), grid)]
 
 
 def gramian_profile(pair: FilterPair, j_max: int, grid: Grid) -> list[GramianReport]:
@@ -602,7 +703,8 @@ def gramian_profile(pair: FilterPair, j_max: int, grid: Grid) -> list[GramianRep
     every lower order too (see _gramian_reports; gramian_fibers gives the
     half-size pieces of a channel-orthogonal pair)."""
     j_max = _count("gramian order", j_max, 1, GRAMIAN_J_CAP)
-    return _gramian_reports(pair, range(1, j_max + 1), grid)
+    (reports,) = _gramian_reports([pair], range(1, j_max + 1), grid)
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,13 @@ from oracles import (
     upsample,
 )
 
+# the exact thresholds the criteria test against (derived in sympy by
+# test_thresholds.py): Bessel s = 1 of each family, and brackets around the
+# expanding flips, 5/8 for Burt-Adelson and 1/2 for the higher-order family
+BA_BESSEL_S1 = (3 + 2 * math.sqrt(2)) / 8
+HO_BESSEL_S1 = math.sqrt(2) - 0.25
+BA_EXPAND_BRACKET = (0.61, 0.64)
+HO_EXPAND_BRACKET = (0.48, 0.53)
 INV_SQRT2 = 1 / math.sqrt(2)
 HAAR = seq(0, [INV_SQRT2, INV_SQRT2])
 TENT = seq(-1, math.sqrt(2) * np.array([0.25, 0.5, 0.25]))
@@ -89,7 +96,7 @@ def test_criterion_1_bessel_threshold_s1():
     flip = bisect(
         lambda a: bessel_certificate(factor(burt_adelson(a)), 1, grid).verdict,
         0.70, 0.76)
-    ok &= abs(flip - (3 + 2 * math.sqrt(2)) / 8) < 1e-3
+    ok &= abs(flip - BA_BESSEL_S1) < 1e-3
     report(1, "Bessel threshold s=1, flip within 1e-3 of (3+2*sqrt(2))/8", ok)
 
 
@@ -114,7 +121,7 @@ def test_criterion_3_expanding_threshold():
         lambda a: float(np.min(std_expand_profile(burt_adelson(a), grid)))
         >= 2.0 - 1e-12,
         0.70, 0.55)
-    ok &= 0.61 <= flip <= 0.64
+    ok &= BA_EXPAND_BRACKET[0] <= flip <= BA_EXPAND_BRACKET[1]
     report(3, "expanding threshold: flip within [0.61, 0.64]", ok)
 
 
@@ -126,7 +133,7 @@ def test_criterion_4_higher_order_family():
     flip1 = bisect(
         lambda a: bessel_certificate(higher_order(a), 1, fine).verdict,
         1.10, 1.25)
-    ok = abs(flip1 - (math.sqrt(2) - 0.25)) < 1e-3
+    ok = abs(flip1 - HO_BESSEL_S1) < 1e-3
     ok &= bessel_certificate(higher_order(1.5), 2, grid).verdict
 
     def expanding(a):
@@ -134,7 +141,7 @@ def test_criterion_4_higher_order_family():
         return expand_certificate(pair, grid).verdict
 
     flip2 = bisect(expanding, 0.55, 0.40)
-    ok &= 0.48 <= flip2 <= 0.53
+    ok &= HO_EXPAND_BRACKET[0] <= flip2 <= HO_EXPAND_BRACKET[1]
     report(4, "higher-order family: s=1 flip, s=2 at 1.5, expanding flip", ok)
 
 

@@ -337,6 +337,14 @@ def test_sweep_validation(tmp_path, capsys):
     assert main(base + ["--a-min", "0.7", "--a-max", "0.6", "--steps", "3"]) == 1
     assert main(base + ["--a-min", "0.6", "--a-max", "0.7", "--steps", "1"]) == 1
     capsys.readouterr()
+    # a count far beyond the cap fails before np.linspace allocates for it
+    out = tmp_path / "huge.csv"
+    assert main(["sweep", "--family", "burt-adelson", "--a-min", "0.6", "--a-max", "0.7",
+                 "--steps", "1000000000000", "--grid", "8", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_sweep_deterministic(tmp_path):

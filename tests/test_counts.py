@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import fbstab.cli
 import fbstab.filters
 import fbstab.iterate
 import fbstab.seqcore
@@ -139,3 +140,19 @@ def test_refused_counts_name_themselves():
         bessel_certificate(F, True, GRID)
     with pytest.raises(ValueError, match=r"^sine product length must be in 1\.\.64"):
         sine_product_values(True, GRID)
+
+
+def test_sweep_steps_beyond_the_cap_are_refused_before_work(monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep work started on a refused count")
+
+    for name in ("_family_filter", "gramian_bounds"):
+        monkeypatch.setattr(fbstab.cli, name, no_work)
+    argv = ["sweep", "--family", "burt-adelson", "--a-min", "0.6", "--a-max", "0.7",
+            "--grid", "64", "--steps"]
+    assert fbstab.cli.main([*argv, str(fbstab.cli.STEPS_CAP + 1)]) == 1
+    assert capsys.readouterr().err == (f"error: --steps must be in 2..{fbstab.cli.STEPS_CAP} "
+                                       f"and an integer, got {fbstab.cli.STEPS_CAP + 1}\n")
+    # the cap itself passes the gate: work starts
+    with pytest.raises(AssertionError, match="sweep work started"):
+        fbstab.cli.main([*argv, str(fbstab.cli.STEPS_CAP)])

@@ -1002,6 +1002,77 @@ def test_gramian_memory_stays_at_one_chunk_over_several_chunks(solve):
     assert solve_peak <= 1.1 * chunk_peak
 
 
+def _family(member, a_min, a_max, steps):
+    return [member(float(a)) for a in np.linspace(a_min, a_max, steps)]
+
+
+# Burt-Adelson from a = 0.5, where the end taps vanish and are trimmed, and
+# the higher-order family from a = 0, where p = delta
+FAMILIES = {"ba-0.5-0.78": (ba_pair, 0.5, 0.78), "ho-0-1.5": (ho_pair, 0.0, 1.5)}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("size", [255, 1024, 2048])
+def test_family_gramian_matches_each_member(family, size):
+    member, a_min, a_max = FAMILIES[family]
+    pairs = _family(member, a_min, a_max, 15)
+    assert pairs[0].h.coeffs.size < pairs[1].h.coeffs.size
+    grid = Grid(size)
+    for j in (1, 2, 3, 4):
+        reports = gramian_bounds(pairs, j, grid)
+        alone = [gramian_bounds(pair, j, grid) for pair in pairs]
+        assert len(reports) == len(pairs)
+        for got, want in zip(reports, alone):
+            assert (got.order, got.grid) == (want.order, want.grid)
+            assert got.lower == pytest.approx(want.lower, rel=1e-13, abs=0)
+            assert got.upper == pytest.approx(want.upper, rel=1e-13, abs=0)
+        assert (reports[0], reports[-1]) == (alone[0], alone[-1])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_gramian_does_not_depend_on_the_worker_count(family, monkeypatch):
+    member, a_min, a_max = FAMILIES[family]
+    pairs = _family(member, a_min, a_max, 6)
+    grid = Grid(1024)
+    monkeypatch.setattr(fbstab.stability, "SVD_PART_WORK", 1)
+    seen = []
+    for workers in (1, 2, 3, 7):
+        monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", workers)
+        seen.append(gramian_bounds(pairs, 4, grid))
+    assert all(reports == seen[0] for reports in seen)
+
+
+@pytest.mark.parametrize("pairs", [
+    [ba_pair(0.6), ho_pair(1.0), ba_pair(0.7)],
+    [haar_pair(), ba_pair(0.7), ho_pair(1.0)],
+    [ba_pair(0.6), _with_highpass(ba_pair(0.65), [1.0, 0.3]), ba_pair(0.7)]],
+    ids=["ba-ho-ba", "haar-ba-ho", "ba-convolved-ba"])
+def test_family_gramian_refuses_pairs_off_one_line(pairs):
+    with pytest.raises(ValueError, match="not on the line through the first and last"):
+        gramian_bounds(pairs, 2, Grid(64))
+
+
+def test_family_gramian_of_no_pair_and_of_one_pair():
+    pair = ba_pair(0.7)
+    assert gramian_bounds([], 3, Grid(64)) == []
+    assert gramian_bounds((pair,), 3, Grid(64)) == [gramian_bounds(pair, 3, Grid(64))]
+
+
+def test_family_gramian_memory_stays_at_one_member():
+    pairs = _family(ba_pair, 0.5, 0.78, 15)
+    grid = Grid(8192)
+    tracemalloc.start()
+    try:
+        gramian_bounds(pairs[7], 4, grid)
+        _, member_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        gramian_bounds(pairs, 4, grid)
+        _, family_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert family_peak <= 1.1 * member_peak
+
+
 def test_gramian_dense_haar_orthonormal_columns():
     m = gramian_dense(haar_pair(), 1, 0.0)
     assert np.max(np.abs(np.conj(m.T) @ m - np.eye(2))) < 1e-12
