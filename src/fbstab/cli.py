@@ -184,6 +184,9 @@ STEPS_CAP = 1 << 12
 
 
 def cmd_sweep(args) -> int:
+    for option, value in (("--a-min", args.a_min), ("--a-max", args.a_max)):
+        if not np.isfinite(value):
+            raise ValueError(f"{option} must be finite, got {value}")
     if not args.a_min < args.a_max:
         raise ValueError(f"need a-min < a-max, got {args.a_min} >= {args.a_max}")
     _count("--steps", args.steps, 2, STEPS_CAP)

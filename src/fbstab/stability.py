@@ -329,13 +329,18 @@ def _dephased(v: np.ndarray, form: tuple[int, bool], xi: np.ndarray, k: int) -> 
     return -phase.imag if antisymmetric else phase.real
 
 
-def gramian_fibers(pair: FilterPair, j: int,
-                   xi: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def gramian_fibers(pair: FilterPair, j: int, xi: np.ndarray,
+                   transforms=None) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The solve pieces [(a_1, M_1, f_1), ..., (a_j, M_j, f_j)] of the
     fibers X_k(xi) at the points xi: the singular values of X_k(xi) are the
     entries of a_k(xi) together with the singular values of the square
     M_k(xi), and f_k(xi) is a lower bound on sigma_min(M_k(xi))^2 (the
     floor), or 0.
+
+    The scaled transforms (g_k, h_k) of orders k = 1..j (see
+    _order_transforms) are taken one order at a time from the iterable
+    `transforms` when it is given (a family member's, see _walk_extremes),
+    else summed here by two dtft_at calls per order.
 
     X_k, of size 2^k x 2^k, comes from the order recursion
     X_k = Y_k diag(I_K, X_(k-1)) from X_0 = 1, with K = 2^(k-1): with g_k,
@@ -370,23 +375,8 @@ def gramian_fibers(pair: FilterPair, j: int,
     is solved by SVD, which reads no floor, so its floor is 0.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    return _fiber_pieces(pair, j, xi, (_order_transforms(pair, k, xi)
-                                       for k in range(1, j + 1)))
-
-
-def _order_transforms(pair: FilterPair, k: int,
-                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(g_k, h_k): the transforms of g and h at u_q = 2^-k (xi + q), q < 2^k,
-    scaled by 1/sqrt(2), one dtft_at call each."""
-    u = (xi[:, None] + np.arange(1 << k)[None, :]) * (2.0 ** (-k))
-    return dtft_at(pair.g, u) / SQRT2, dtft_at(pair.h, u) / SQRT2
-
-
-def _fiber_pieces(pair: FilterPair, j: int, xi: np.ndarray,
-                  transforms) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """gramian_fibers(pair, j, xi), with the scaled transforms (g_k, h_k) of
-    orders k = 1..j (see _order_transforms) taken from the iterable
-    `transforms`, one order at a time."""
+    if transforms is None:
+        transforms = (_order_transforms(pair, k, xi) for k in range(1, j + 1))
     split = _channel_orthogonal(pair)
     real = _real_form(pair)
     dtype = float if real else complex
@@ -422,6 +412,14 @@ def _fiber_pieces(pair: FilterPair, j: int, xi: np.ndarray,
             pieces.append((np.empty((xi.shape[0], 0)), Y, floor))
         X = Y
     return pieces
+
+
+def _order_transforms(pair: FilterPair, k: int,
+                      xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g_k, h_k): the transforms of g and h at u_q = 2^-k (xi + q), q < 2^k,
+    scaled by 1/sqrt(2), one dtft_at call each."""
+    u = (xi[:, None] + np.arange(1 << k)[None, :]) * (2.0 ** (-k))
+    return dtft_at(pair.g, u) / SQRT2, dtft_at(pair.h, u) / SQRT2
 
 
 @dataclass(frozen=True)
@@ -582,39 +580,40 @@ def _family_weights(pairs: list[FilterPair]) -> np.ndarray:
     return w
 
 
-def _builds(pairs: list[FilterPair], weights: np.ndarray | None, j: int, xi: np.ndarray):
-    """Each pair's order-j solve pieces at xi (see gramian_fibers), one pair
-    at a time.  A lone pair is built by gramian_fibers.  A family takes the
-    transforms of its first and last pairs for every order once, and each
-    pair's as w0 times the first's plus w1 times the last's (weights from
-    _family_weights): a transform is linear in the taps."""
-    if len(pairs) == 1:
-        yield gramian_fibers(pairs[0], j, xi)
-        return
-    ends = [(_order_transforms(pairs[0], k, xi), _order_transforms(pairs[-1], k, xi))
-            for k in range(1, j + 1)]
-    for pair, (w0, w1) in zip(pairs, weights):
-        yield _fiber_pieces(pair, j, xi, ((w0 * g0 + w1 * g1, w0 * h0 + w1 * h1)
-                                          for (g0, h0), (g1, h1) in ends))
-
-
-def _walk_extremes(pairs: list[FilterPair], weights: np.ndarray | None, orders: range,
+def _walk_extremes(pairs: list[FilterPair], weights: np.ndarray, orders: range,
                    pts: np.ndarray, count: int, step: int) -> list[list[tuple[float, float]]]:
     """_piece_extremes of every pair and order over the first `count`
-    fibers at pts: the points are built `step` at a time, each build up to
-    the highest order, and one pair's build is released before the next is
-    made (see _builds).  Each running extreme carries from one build to the
-    next.  A build's last points beyond `count` are built but not solved."""
+    fibers at pts: the points are built `step` at a time (half as many for
+    a family), each build up to the highest order, by one gramian_fibers
+    call per pair.  Each running extreme carries from one build to the
+    next.  A build's last points beyond `count` are built but not solved.
+
+    A family takes the transforms of its first and last pairs for every
+    order once per build (_order_transforms), and each pair's as w0 times
+    the first's plus w1 times the last's (weights from _family_weights): a
+    transform is linear in the taps.  A lone pair's are summed inside its
+    gramian_fibers call.  Each pair's build is dropped before the next is
+    made, so a walk holds one build beside the end pairs' transforms."""
+    j = orders[-1]
+    family = len(pairs) > 1
+    if family:
+        step = -(-min(step, count) // 2)
     runs = [[(math.inf, 0.0)] * len(orders) for _ in pairs]
     for start in range(0, count, step):
-        # no enumerate or zip over the builds: either holds the previous
-        # build while the next is made
-        builds = _builds(pairs, weights, orders[-1], pts[start:start + step])
-        for m in range(len(pairs)):
-            pieces = next(builds)
-            runs[m] = [_piece_extremes(*(v[:count - start] for v in pieces[j - 1]), run)
-                       for j, run in zip(orders, runs[m])]
+        xi = pts[start:start + step]
+        ends = [(_order_transforms(pairs[0], k, xi), _order_transforms(pairs[-1], k, xi))
+                for k in range(1, j + 1)] if family else None
+        for m, (w0, w1) in enumerate(weights):
+            if ends is None:
+                pieces = gramian_fibers(pairs[m], j, xi)
+            else:
+                pieces = gramian_fibers(pairs[m], j, xi, (
+                    (w0 * g0 + w1 * g1, w0 * h0 + w1 * h1) for (g0, h0), (g1, h1) in ends))
+            runs[m] = [_piece_extremes(*(v[:count - start] for v in pieces[k - 1]), run)
+                       for k, run in zip(orders, runs[m])]
             del pieces
+        # freed before the next build's end transforms are made
+        del ends
     return runs
 
 
@@ -641,11 +640,11 @@ def _gramian_reports(pairs: list[FilterPair], orders: range,
     of its share of a chunk, since numpy and LAPACK release the GIL for
     most of that work.  A family of several pairs builds half as many
     points at a time: beside each build a walk holds the end pairs'
-    transforms of every order (_builds), 4 (2^(J+1) - 2) complex values a
-    point, about as much as one order-4 build.  Each fiber's build and
-    solve do not depend on the batch it sits in, and a fiber left unsolved
-    cannot move an extreme (_piece_extremes), so the bounds are
-    bit-identical for every worker count and chunk size.
+    transforms of every order, 4 (2^(J+1) - 2) complex values a point,
+    about as much as one order-4 build.  Each fiber's build and solve do
+    not depend on the batch it sits in, and a fiber left unsolved cannot
+    move an extreme (_piece_extremes), so the bounds are bit-identical for
+    every worker count and chunk size.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -653,22 +652,17 @@ def _gramian_reports(pairs: list[FilterPair], orders: range,
     real = all(p.h.is_real and p.g.is_real for p in pairs)
     stop = grid.size // 2 + 1 if real else grid.size
     pts = grid.points
-    weights = _family_weights(pairs) if len(pairs) > 1 else None
+    weights = _family_weights(pairs) if pairs else np.empty((0, 2))
     workers = min(SVD_WORKERS, stop,
                   min(chunk, grid.size) * 8 ** orders[-1] // SVD_PART_WORK)
-
-    def walk(part, count, step):
-        if len(pairs) > 1:
-            step = -(-min(step, count) // 2)
-        return _walk_extremes(pairs, weights, orders, part, count, step)
-
     if workers <= 1:
-        walks = [walk(pts, stop, chunk)]
+        walks = [_walk_extremes(pairs, weights, orders, pts, stop, chunk)]
     else:
         step = -(-chunk // workers)
         with ThreadPoolExecutor(workers) as pool:
-            walks = list(pool.map(lambda part: walk(part, len(part), step),
-                                  np.array_split(pts[:stop], workers)))
+            walks = list(pool.map(
+                lambda part: _walk_extremes(pairs, weights, orders, part, len(part), step),
+                np.array_split(pts[:stop], workers)))
     return [[GramianReport(order=j, lower=min(lo for lo, _ in ext),
                            upper=max(hi for _, hi in ext), grid=grid.size)
              for j, ext in zip(orders, zip(*runs))]
@@ -686,7 +680,7 @@ def gramian_bounds(pair: FilterPair | Sequence[FilterPair], j: int,
     the members of a family affine in its parameter do), it returns one
     report per pair from one walk over the grid.  Each build evaluates the
     first and last pairs' transforms only, and every pair's are their
-    weighted sum (_builds).  The end pairs' reports are those of
+    weighted sum (_walk_extremes).  The end pairs' reports are those of
     gramian_bounds on each, bit for bit; the others' differ by rounding.
     Pairs off that line are a ValueError (_family_weights).
     """

@@ -345,6 +345,14 @@ def test_sweep_validation(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert not out.exists()
+    # an infinite interval end is named before np.linspace reads it
+    for ends, error in ((["--a-min", "0", "--a-max", "inf"], "--a-max must be finite, got inf"),
+                        (["--a-min=-inf", "--a-max", "1"], "--a-min must be finite, got -inf")):
+        assert main(["sweep", "--family", "higher-order", "--steps", "2", "--grid", "16",
+                     "--out", str(out), *ends]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {error}\n"
 
 
 def test_sweep_deterministic(tmp_path):

@@ -754,6 +754,23 @@ def test_gram_solve_of_a_singular_pair_stays_at_zero():
         assert 0.0 <= rep.lower <= 64 * np.finfo(float).eps * rep.upper
 
 
+@pytest.mark.parametrize("p", [1, 2, 7, 33])
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_below_ceiling_reads_every_matrix_and_leaves_the_stack_alone(p, n):
+    # the matrix of largest lambda_max(M^T M) sits in the last half, so a
+    # test that read only the first half would pass the 0.99 ceiling
+    rng = np.random.default_rng(100 * p + n)
+    for _ in range(20):
+        m = rng.standard_normal((p, n, n))
+        top = np.linalg.eigvalsh(np.swapaxes(m, -1, -2) @ m)[:, -1]
+        worst = int(np.argmax(top))
+        m[[worst, -1]] = m[[-1, worst]]
+        before = m.copy()
+        assert fbstab.stability._below_ceiling(m, 1.01 * top.max())
+        assert not fbstab.stability._below_ceiling(m, 0.99 * top.max())
+        assert np.array_equal(m, before)
+
+
 def test_channel_test_classifies_fixed_pairs():
     for pair in (haar_pair(), ba_pair(0.7), ho_pair(1.0), FilterPair(HAAR, zero_seq())):
         assert fbstab.stability._channel_orthogonal(pair)
@@ -1040,6 +1057,36 @@ def test_family_gramian_does_not_depend_on_the_worker_count(family, monkeypatch)
         monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", workers)
         seen.append(gramian_bounds(pairs, 4, grid))
     assert all(reports == seen[0] for reports in seen)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_family_gramian_builds_each_member_point_once(workers, monkeypatch):
+    pairs = _family(ba_pair, 0.5, 0.78, 6)
+    grid = Grid(1024)
+    # without the floor forced to 1 this size stays on one worker
+    monkeypatch.setattr(fbstab.stability, "SVD_PART_WORK", 1)
+    monkeypatch.setattr(fbstab.stability, "SVD_WORKERS", workers)
+    expected = gramian_bounds(pairs, 4, grid)
+    build = fbstab.stability.gramian_fibers
+    lock = threading.Lock()
+    built = {}
+
+    def recording_build(*args):
+        # a family member's build also takes its transforms
+        pair, j, xi = args[:3]
+        assert j == 4
+        with lock:
+            built.setdefault(id(pair), []).append(xi.copy())
+        return build(*args)
+
+    monkeypatch.setattr(fbstab.stability, "gramian_fibers", recording_build)
+    assert gramian_bounds(pairs, 4, grid) == expected
+    assert set(built) == {id(pair) for pair in pairs}
+    for pair in pairs:
+        # m = 0..512 is solved; one walk may build a point past it
+        m = np.rint(np.concatenate(built[id(pair)]) * grid.size).astype(int)
+        assert len(np.unique(m)) == len(m)
+        assert np.isin(np.arange(513), m).all()
 
 
 @pytest.mark.parametrize("pairs", [

@@ -5,11 +5,15 @@ Both families are real and symmetric about their centre, so each
 transform's modulus is a polynomial in x = cos(2 pi xi).  The low-pass h
 factors as sqrt(2) ((1+z)/2)^n p(z) with p(1) = 1; the Bessel condition at
 s = 1 reads sup |p| < 2^(n - 1/2), and the orthogonal high-pass expands
-exactly when |h^(xi)|^2 + |h^(xi + 1/2)|^2 >= 2 everywhere.
+exactly when |h^(xi)|^2 + |h^(xi + 1/2)|^2 >= 2 everywhere, and the
+2-cycle {1/3, 2/3} of xi -> 2 xi refutes the Bessel condition for every s
+once n - log2 |p^(1/3)| <= 1/2.
 """
 
+import pytest
 import sympy as sp
 
+from fbstab import Grid, bessel_certificate, burt_adelson, factor, higher_order
 from test_acceptance import BA_BESSEL_S1, BA_EXPAND_BRACKET, HO_BESSEL_S1, HO_EXPAND_BRACKET
 
 a, z, x, y = sp.symbols("a z x y", real=True)
@@ -92,3 +96,40 @@ def test_expand_thresholds_lie_inside_the_criteria_brackets():
     assert ho == sp.Interval(sp.Rational(1, 2), sp.oo)
     assert BA_EXPAND_BRACKET[0] < ba.inf < BA_EXPAND_BRACKET[1]
     assert HO_EXPAND_BRACKET[0] < ho.inf < HO_EXPAND_BRACKET[1]
+
+
+def cycle_value(offset, taps):
+    """(n, p^(1/3)).  p is symmetric on k = -1..1 and real, so |p^(2/3)| =
+    |p^(1/3)|, and the dilated product has modulus |p^(1/3)|^s at xi = 1/3
+    for every s: sup |prod_(k<s) p^(2^k xi)| >= |p^(1/3)|^s."""
+    n, p = cosine_factor(offset, taps)
+    return n, sp.expand(sp.expand_complex(p.subs(z, sp.exp(-2 * sp.pi * sp.I / 3))))
+
+
+# family: (taps, domain of a, p^(1/3), threshold of the 2-cycle, member)
+CYCLES = {
+    "burt-adelson": (ba_taps, sp.Interval.open(0, sp.oo), 6 * a - 2, (1 + sp.sqrt(2)) / 3,
+                     lambda at: factor(burt_adelson(at))),
+    "higher-order": (ho_taps, sp.Interval(0, sp.oo), 3 * a + 1,
+                     (2 ** sp.Rational(5, 2) - 1) / 3, higher_order),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CYCLES))
+def test_two_cycle_bessel_thresholds(family):
+    taps, domain, value, threshold, member = CYCLES[family]
+    n, v = cycle_value(*taps())
+    assert sp.expand(v - value) == 0
+    epsilon_cycle = n - sp.log(sp.Abs(v), 2)
+    assert sp.solveset(sp.Eq(epsilon_cycle, sp.Rational(1, 2)), a, domain) == \
+        sp.FiniteSet(threshold)
+    # a certified sup_value bounds |p^(1/3)|^s from above, so each epsilon_s
+    # stays at or below epsilon_cycle, and past the threshold no s passes
+    grid = Grid(8192)
+    for offset in (-0.01, 1e-3, 0.1):
+        at = float(threshold) + offset
+        certificates = [bessel_certificate(member(at), s, grid) for s in range(1, 9)]
+        bound = float(epsilon_cycle.subs(a, at))
+        assert all(c.epsilon <= bound + 1e-12 for c in certificates)
+        if offset > 0:
+            assert not any(c.verdict for c in certificates)
